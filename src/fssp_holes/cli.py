@@ -12,11 +12,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import barriers as bar
 from . import mft2, shapes, timebounds as tb
-from .errors import BudgetExceededError, FsspError, ValidationError
+from .errors import BudgetExceededError, FsspError
 from .grid import Position, load_config_file
 from .sim.line import run_line_fssp
 from .sim.plan import plan_from_json, run_message_plan
@@ -39,7 +39,6 @@ class RunReport:
     seed: int
     results: dict
     elapsed_s: float = 0.0
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -52,11 +51,8 @@ def _emit(obj) -> None:
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config_file(args.config)
-    except ValidationError as exc:
+    except FsspError as exc:
         _emit({"valid": False, "error": exc.code, "detail": str(exc)})
-        return EXIT_INVALID
-    except (ValueError, KeyError) as exc:
-        _emit({"valid": False, "error": "ParseError", "detail": str(exc)})
         return EXIT_INVALID
     _emit({"valid": True, "size": cfg.size, "holes": cfg.k})
     return EXIT_OK
@@ -360,9 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValidationError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except FsspError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -34,6 +34,18 @@ class DisconnectedError(ValidationError):
     code = "Disconnected"
 
 
+class ParseError(FsspError, ValueError):
+    """Unreadable input: a configuration, plan or checkpoint file, or a setting."""
+
+    code = "ParseError"
+
+
+class CheckpointMismatchError(FsspError, ValueError):
+    """A checkpoint record written for another k or format version."""
+
+    code = "CheckpointMismatch"
+
+
 class NotANodeError(FsspError, ValueError):
     code = "NotANode"
 

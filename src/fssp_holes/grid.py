@@ -19,6 +19,8 @@ from .errors import (
     DisconnectedError,
     NotANodeError,
     OutOfSquareError,
+    ParseError,
+    SizeTooSmallError,
     TooManyHolesError,
 )
 
@@ -94,10 +96,10 @@ def validate(size: int, holes: Iterable[tuple[int, int]]) -> Configuration:
 
     Raises BoundaryHoleError / TooManyHolesError / DisconnectedError, each
     carrying a witness position (the offending hole, or a node the flood
-    fill from the general could not reach).
+    fill from the general could not reach), or SizeTooSmallError for w < 1.
     """
     if size < 1:
-        raise TooManyHolesError(f"size must be >= 1, got {size}", witness=None)
+        raise SizeTooSmallError(f"size must be >= 1, got {size}")
     hs = frozenset(Position(*h) for h in holes)
     if len(hs) > (size - 1) ** 2:
         raise TooManyHolesError(
@@ -111,10 +113,13 @@ def validate(size: int, holes: Iterable[tuple[int, int]]) -> Configuration:
                 witness=h,
             )
     cfg = Configuration(size, hs)
-    # One flood fill from the general; compare reached count with the node count.
-    dist = _distance_grid_uncached(cfg, V_GEN)
+    # One flood fill from the general; compare reached count with the node
+    # count.  Uncached, so the many validate calls of plan checks do not flush
+    # distance_grid's cache.
+    w1 = size + 1
+    dist = _bfs(w1, w1, [h.x * w1 + h.y for h in hs], 0)
     reached = sum(1 for d in dist if d >= 0)
-    expected = (size + 1) ** 2 - len(hs)
+    expected = w1 * w1 - len(hs)
     if reached != expected:
         witness = next(p for p in cfg.nodes() if dist[cfg.index(p)] < 0)
         raise DisconnectedError(
@@ -128,34 +133,36 @@ def mh_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _distance_grid_uncached(cfg: Configuration, source: Position) -> list[int]:
-    """BFS distances from source to every position; -1 for holes/unreached."""
-    w1 = cfg.size + 1
-    dist = [-1] * (w1 * w1)
-    for h in cfg.holes:
-        dist[h[0] * w1 + h[1]] = -2
-    si = source[0] * w1 + source[1]
-    dist[si] = 0
-    queue = deque([si])
+def _bfs(nx: int, ny: int, blocked: list[int], start: int) -> list[int]:
+    """BFS distances on the nx x ny grid of cells indexed x * ny + y.
+
+    The one grid BFS of the package: configurations and the enlarged
+    rectangles of barrier shapes both run on it.  Blocked cells (holes) and
+    cells the search does not reach read -1.
+    """
+    dist = [-1] * (nx * ny)
+    for i in blocked:
+        dist[i] = -2
+    dist[start] = 0
+    queue = deque([start])
     while queue:
         i = queue.popleft()
         d1 = dist[i] + 1
-        x, y = divmod(i, w1)
-        if x + 1 < w1 and dist[i + w1] == -1:
-            dist[i + w1] = d1
-            queue.append(i + w1)
-        if x > 0 and dist[i - w1] == -1:
-            dist[i - w1] = d1
-            queue.append(i - w1)
-        if y + 1 < w1 and dist[i + 1] == -1:
+        x, y = divmod(i, ny)
+        if x + 1 < nx and dist[i + ny] == -1:
+            dist[i + ny] = d1
+            queue.append(i + ny)
+        if x > 0 and dist[i - ny] == -1:
+            dist[i - ny] = d1
+            queue.append(i - ny)
+        if y + 1 < ny and dist[i + 1] == -1:
             dist[i + 1] = d1
             queue.append(i + 1)
         if y > 0 and dist[i - 1] == -1:
             dist[i - 1] = d1
             queue.append(i - 1)
-    for i, d in enumerate(dist):
-        if d == -2:
-            dist[i] = -1
+    for i in blocked:
+        dist[i] = -1
     return dist
 
 
@@ -164,7 +171,9 @@ def distance_grid(cfg: Configuration, source: Position) -> tuple[int, ...]:
     """Cached BFS distance field from one source node of cfg."""
     if not cfg.is_node(source):
         raise NotANodeError(f"{tuple(source)} is not a node of the configuration")
-    return tuple(_distance_grid_uncached(cfg, Position(*source)))
+    w1 = cfg.size + 1
+    holes = [h.x * w1 + h.y for h in cfg.holes]
+    return tuple(_bfs(w1, w1, holes, source[0] * w1 + source[1]))
 
 
 def bfs_distance(cfg: Configuration, a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -310,8 +319,14 @@ def dump_json(cfg: Configuration) -> str:
 
 
 def load_json(text: str) -> Configuration:
-    doc = json.loads(text)
-    return validate(doc["size"], [tuple(h) for h in doc["holes"]])
+    try:
+        doc = json.loads(text)
+        size, holes = doc["size"], [(x, y) for x, y in doc["holes"]]
+        if not all(type(v) is int for v in (size, *sum(holes, ()))):
+            raise TypeError("size and hole coordinates must be integers")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed configuration JSON: {exc}") from exc
+    return validate(size, holes)
 
 
 def dump_ascii(cfg: Configuration) -> str:
@@ -326,12 +341,12 @@ def dump_ascii(cfg: Configuration) -> str:
 
 def load_ascii(text: str) -> Configuration:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("w="):
-        raise ValueError("ASCII configuration must start with a 'w=<size>' line")
+    if not lines or not lines[0].startswith("w=") or not lines[0][2:].strip().isdigit():
+        raise ParseError("ASCII configuration must start with a 'w=<size>' line")
     w = int(lines[0][2:])
     rows = lines[1 : w + 2]
     if len(rows) != w + 1 or any(len(r) != w + 1 for r in rows):
-        raise ValueError(f"expected {w + 1} rows of {w + 1} characters")
+        raise ParseError(f"expected {w + 1} rows of {w + 1} characters")
     holes = []
     for i, row in enumerate(rows):
         y = w - i
@@ -339,7 +354,7 @@ def load_ascii(text: str) -> Configuration:
             if ch == "#":
                 holes.append((x, y))
             elif ch != ".":
-                raise ValueError(f"unexpected character {ch!r} in row {i}")
+                raise ParseError(f"unexpected character {ch!r} in row {i}")
     return validate(w, holes)
 
 

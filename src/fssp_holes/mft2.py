@@ -130,7 +130,6 @@ def _transpose_plan(plan: MessagePlan) -> MessagePlan:
     return MessagePlan(
         plan.target_size,
         plan.slack,
-        frozenset(flip(p) for p in plan.checked_region),
         tuple(tuple((flip(site), off) for site, off in group) for group in plan.groups),
         Pattern(frozenset((flip(p), lbl) for p, lbl in plan.pattern.assignments)),
     )
@@ -140,7 +139,6 @@ def _plan(cfg: Configuration, region: frozenset[Position], groups) -> MessagePla
     return MessagePlan(
         target_size=cfg.size,
         slack=0,
-        checked_region=region,
         groups=tuple(tuple((Position(*s), 0) for s in group) for group in groups),
         pattern=pattern_of(cfg, region),
     )

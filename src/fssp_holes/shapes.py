@@ -13,14 +13,21 @@ maximised over all shapes with at most k holes to give c_k.
 
 from __future__ import annotations
 
+import json
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, UnreachableError
-from .grid import Position
+from .errors import (
+    BudgetExceededError,
+    CheckpointMismatchError,
+    ParseError,
+    UnreachableError,
+)
+from .grid import Position, _bfs
 
 HARD_MAX_K = 7
 DEFAULT_BUDGET_K = 6
@@ -46,7 +53,10 @@ def effective_budget(budget: int | None = None) -> int:
         return min(budget, HARD_MAX_K)
     env = os.environ.get("FSSP_BUDGET_K")
     if env is not None:
-        return min(int(env), HARD_MAX_K)
+        try:
+            return min(int(env), HARD_MAX_K)
+        except ValueError:
+            raise ParseError(f"FSSP_BUDGET_K must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET_K
 
 
@@ -157,16 +167,37 @@ def _shape_from_rows(width: int, height: int, row_masks: tuple[int, ...]) -> Bar
     return BarrierShape(width, height, holes)
 
 
-def _all_nodes_reach_ring(shape: BarrierShape, nw: list[int] | None = None) -> bool:
+def _enlarged_holes(shape: BarrierShape) -> list[int]:
+    """Hole indices in the enlarged rectangle [-1..W] x [-1..H]."""
+    hy = shape.height + 2
+    return [(x + 1) * hy + y + 1 for x, y in shape.holes]
+
+
+def _all_nodes_reach_ring(shape: BarrierShape, nw: list[int]) -> bool:
     """True iff no node of the shape is sealed off from the surrounding ring.
 
     A shape with a hole-enclosed pocket of nodes cannot occur inside a
     connected configuration, so it is not a member of the shape space.
+    nw is any distance field of the enlarged rectangle from its ring, where
+    only holes and unreached nodes read -1.
     """
-    if nw is None:
-        nw = _corner_distances(shape, Position(-1, shape.height))
-    hy = shape.height + 2
-    return all(nw[(p.x + 1) * hy + (p.y + 1)] >= 0 for p in shape.nodes())
+    return nw.count(-1) == len(shape.holes)
+
+
+def _slab_shapes(
+    width: int, height: int, k: int, first_masks
+) -> Iterator[tuple[BarrierShape, list[int]]]:
+    """(shape, NW-corner distances) for every shape of one (W, H) slab.
+
+    first_masks, when not None, restricts the hole mask of row 0, to split a
+    slab into tasks.
+    """
+    nw_corner = height + 1  # index of (-1, H)
+    for row_masks in _iter_hole_masks(width, height, k, first_masks):
+        shape = _shape_from_rows(width, height, row_masks)
+        nw = _bfs(width + 2, height + 2, _enlarged_holes(shape), nw_corner)
+        if _all_nodes_reach_ring(shape, nw):
+            yield shape, nw
 
 
 def enumerate_shapes(k: int, budget: int | None = None) -> Iterator[BarrierShape]:
@@ -178,44 +209,8 @@ def enumerate_shapes(k: int, budget: int | None = None) -> Iterator[BarrierShape
     _check_budget(k, budget)
     for width in range(1, k + 1):
         for height in range(1, k + 1):
-            if max(width, height) > k:
-                continue
-            for row_masks in _iter_hole_masks(width, height, k):
-                shape = _shape_from_rows(width, height, row_masks)
-                if _all_nodes_reach_ring(shape):
-                    yield shape
-
-
-def _corner_distances(shape: BarrierShape, corner: Position) -> list[int]:
-    """BFS distances inside the enlarged rectangle from one of its corners."""
-    wx, hy = shape.width + 2, shape.height + 2  # enlarged: [-1..W] x [-1..H]
-
-    def idx(x: int, y: int) -> int:
-        return (x + 1) * hy + (y + 1)
-
-    dist = [-1] * (wx * hy)
-    for hx, hyy in shape.holes:
-        dist[idx(hx, hyy)] = -2
-    start = idx(*corner)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        d1 = dist[i] + 1
-        x, y = divmod(i, hy)
-        if x + 1 < wx and dist[i + hy] == -1:
-            dist[i + hy] = d1
-            queue.append(i + hy)
-        if x > 0 and dist[i - hy] == -1:
-            dist[i - hy] = d1
-            queue.append(i - hy)
-        if y + 1 < hy and dist[i + 1] == -1:
-            dist[i + 1] = d1
-            queue.append(i + 1)
-        if y > 0 and dist[i - 1] == -1:
-            dist[i - 1] = d1
-            queue.append(i - 1)
-    return dist
+            for shape, _ in _slab_shapes(width, height, k, None):
+                yield shape
 
 
 def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
@@ -223,9 +218,10 @@ def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
     p = Position(*p)
     if p in shape.holes or not (0 <= p.x < shape.width and 0 <= p.y < shape.height):
         raise UnreachableError(f"{tuple(p)} is not a node of the shape")
-    hy = shape.height + 2
-    nw = _corner_distances(shape, Position(-1, shape.height))
-    se = _corner_distances(shape, Position(shape.width, -1))
+    wx, hy = shape.width + 2, shape.height + 2
+    holes = _enlarged_holes(shape)
+    nw = _bfs(wx, hy, holes, hy - 1)  # from (-1, H)
+    se = _bfs(wx, hy, holes, (wx - 1) * hy)  # from (W, -1)
     i = (p.x + 1) * hy + (p.y + 1)
     if nw[i] < 0 or se[i] < 0:
         raise UnreachableError(f"{tuple(p)} unreachable inside the enlarged rectangle")
@@ -234,26 +230,22 @@ def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
 
 def e_of(shape: BarrierShape, p: tuple[int, int], delta: int) -> int:
     """min(delta - H - 1 + d0, -delta - W - 1 + d1) for the given diagonal offset."""
-    d0, d1 = d0_d1(shape, p)
+    return _e(shape, *d0_d1(shape, p), delta)
+
+
+def _e(shape: BarrierShape, d0: int, d1: int, delta: int) -> int:
     return min(delta - shape.height - 1 + d0, -delta - shape.width - 1 + d1)
-
-
-def _eval_from_distances(shape: BarrierShape, d0: int, d1: int, p: Position) -> ShapeEval:
-    total = -shape.width - shape.height - 2 + d0 + d1
-    if total % 2:
-        raise AssertionError(f"parity violation for {shape} at {tuple(p)}")
-    e_max = total // 2
-    delta_opt = (-shape.width + shape.height - d0 + d1) // 2
-    return ShapeEval(d0, d1, e_max, delta_opt, delta_opt + p.x - p.y)
 
 
 def evaluate(shape: BarrierShape, p: tuple[int, int]) -> ShapeEval:
     """d0/d1, e_max, delta_opt and epsilon_opt for one node of the shape."""
     p = Position(*p)
     d0, d1 = d0_d1(shape, p)
-    ev = _eval_from_distances(shape, d0, d1, p)
-    assert e_of(shape, p, ev.delta_opt) == ev.e_max
-    return ev
+    total = -shape.width - shape.height - 2 + d0 + d1
+    delta_opt = (-shape.width + shape.height - d0 + d1) // 2
+    if total % 2 or _e(shape, d0, d1, delta_opt) != total // 2:
+        raise AssertionError(f"parity or delta_opt identity fails for {shape} at {tuple(p)}")
+    return ShapeEval(d0, d1, total // 2, delta_opt, delta_opt + p.x - p.y)
 
 
 @dataclass(frozen=True)
@@ -270,82 +262,101 @@ class CkResult:
         return ref == (self.c_k, self.shape_count, self.pair_count, self.argmax_pair_count)
 
 
-def _scan_shapes(
-    width: int, height: int, k: int, first_masks=None
-) -> tuple[int, int, int, list[tuple[int, int, int, int, int]]]:
+ScanResult = tuple[int, int, int, list[tuple[int, int, int, int, int]]]
+
+#: Format version of checkpoint records; bump when the record layout changes.
+CHECKPOINT_VERSION = 2
+
+
+def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
     """Enumerate one (width, height) slab: (shapes, pairs, best, argmax keys)."""
     hy = height + 2
+    se_corner = (width + 1) * hy  # index of (W, -1)
     shapes = 0
     pairs = 0
     best = -1
     arg: list[tuple[int, int, int, int, int]] = []
-    for row_masks in _iter_hole_masks(width, height, k, first_masks):
-        shape = _shape_from_rows(width, height, row_masks)
-        node_list = shape.nodes()
-        nw = _corner_distances(shape, Position(-1, height))
-        if not _all_nodes_reach_ring(shape, nw):
-            continue
+    for shape, nw in _slab_shapes(width, height, k, first_masks):
         shapes += 1
-        if not node_list:
-            continue
-        se = _corner_distances(shape, Position(width, -1))
+        if len(shape.holes) == width * height:
+            continue  # no nodes
+        se = _bfs(width + 2, hy, _enlarged_holes(shape), se_corner)
         mask = shape.hole_mask()
-        for p in node_list:
-            pairs += 1
-            i = (p.x + 1) * hy + (p.y + 1)
-            e2 = -width - height - 2 + nw[i] + se[i]
-            if e2 > best:
-                best = e2
-                arg = [(width, height, mask, p.x, p.y)]
-            elif e2 == best:
-                arg.append((width, height, mask, p.x, p.y))
+        for x in range(width):
+            col = (x + 1) * hy + 1
+            for y in range(height):
+                if nw[col + y] < 0:
+                    continue  # a hole: every node of the shape reaches the ring
+                pairs += 1
+                e2 = -width - height - 2 + nw[col + y] + se[col + y]
+                if e2 > best:
+                    best = e2
+                    arg = [(width, height, mask, x, y)]
+                elif e2 == best:
+                    arg.append((width, height, mask, x, y))
     return shapes, pairs, best, arg
 
 
-def _scan_task(args) -> tuple[int, int, int, list[tuple[int, int, int, int, int]]]:
-    width, height, k, first_masks = args
-    return _scan_shapes(width, height, k, first_masks)
+def _scan_task(args) -> ScanResult:
+    return _scan_shapes(*args)
 
 
-def _load_checkpoint(path: str) -> dict[tuple[int, int], tuple]:
-    import json
+def _merge(results: Iterable[ScanResult]) -> ScanResult:
+    """Sum the counts of scan results and keep the argmax keys of the best e2."""
+    results = list(results)
+    best = max((r[2] for r in results), default=-1)
+    arg = sorted(key for r in results if r[2] == best for key in r[3])
+    return sum(r[0] for r in results), sum(r[1] for r in results), best, arg
 
-    done = {}
+
+def _slab_tasks(width: int, height: int, k: int, jobs: int) -> list[tuple]:
+    """Split one slab by its row-0 hole mask into about 2 * jobs scan tasks."""
+    first = [m for m in range(1, 1 << width) if bin(m).count("1") <= k - (height - 1)]
+    step = max(1, len(first) // (2 * jobs))
+    return [(width, height, k, first[i : i + step]) for i in range(0, len(first), step)]
+
+
+def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int], ScanResult]:
+    """Completed slabs of a checkpoint file written for this k.
+
+    A last line without its newline is an interrupted write: it is dropped
+    and the file is cut back to the last newline, so its slab is recomputed.
+    A record for another k or format version fails closed.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                doc = json.loads(line)
-                done[(doc["w"], doc["h"])] = (
-                    doc["shapes"],
-                    doc["pairs"],
-                    doc["best"],
-                    [tuple(key) for key in doc["arg"]],
-                )
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        pass
+        return {}
+    end = data.rfind(b"\n") + 1
+    done = {}
+    for n, line in enumerate(data[:end].decode("utf-8", "replace").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            version, rec_k, slab = doc.get("v"), doc.get("k"), (doc["w"], doc["h"])
+            result = (doc["shapes"], doc["pairs"], doc["best"], [tuple(a) for a in doc["arg"]])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"{path}:{n}: malformed checkpoint record: {exc}") from exc
+        if version != CHECKPOINT_VERSION or rec_k != k:
+            raise CheckpointMismatchError(
+                f"{path}:{n}: record for k={rec_k}, version {version}; this run is "
+                f"k={k}, version {CHECKPOINT_VERSION}. Use a fresh checkpoint file"
+            )
+        done[slab] = result
+    if end < len(data):
+        os.truncate(path, end)
     return done
 
 
-def _append_checkpoint(path: str, slab: tuple[int, int], result: tuple) -> None:
-    import json
-
+def _append_checkpoint(path: str, k: int, slab: tuple[int, int], result: ScanResult) -> None:
     shapes_n, pairs_n, best, arg = result
+    record = {"v": CHECKPOINT_VERSION, "k": k, "w": slab[0], "h": slab[1],
+              "shapes": shapes_n, "pairs": pairs_n, "best": best,
+              "arg": [list(key) for key in arg]}
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "w": slab[0],
-                    "h": slab[1],
-                    "shapes": shapes_n,
-                    "pairs": pairs_n,
-                    "best": best,
-                    "arg": [list(key) for key in arg],
-                }
-            )
-            + "\n"
-        )
+        fh.write(json.dumps(record) + "\n")
 
 
 def compute_ck(
@@ -353,61 +364,37 @@ def compute_ck(
 ) -> CkResult:
     """Exact maximum of e_max over all (shape, node) pairs, with counts.
 
-    A checkpoint file (newline-delimited completed-slab records) lets an
-    interrupted k=7 run resume; it partitions the shape space by (W, H).
+    The shape space is partitioned into (W, H) slabs, each split into tasks
+    by its row-0 hole mask and scanned in a process pool when jobs > 1.  A
+    checkpoint file gets one record (k, slab, counts) per completed slab and
+    lets an interrupted k=7 run resume.
     """
     _check_budget(k, budget)
     if k < 2:
         raise BudgetExceededError("c_k is defined for k >= 2 (smaller k admit no node pairs)")
-    slabs = [(w, h) for w in range(1, k + 1) for h in range(1, k + 1)]
-    done = _load_checkpoint(checkpoint) if checkpoint else {}
-    pending = [s for s in slabs if s not in done]
-    results = [done[s] for s in slabs if s in done]
-    if jobs > 1 and checkpoint is None:
-        tasks = []
-        for width, height in pending:
-            full = (1 << width) - 1
-            first = [m for m in range(1, full + 1) if bin(m).count("1") <= k - (height - 1)]
-            step = max(1, len(first) // (2 * jobs))
-            for i in range(0, len(first), step):
-                tasks.append((width, height, k, first[i : i + step]))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results += list(pool.map(_scan_task, tasks))
-    elif jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for slab, result in zip(
-                pending, pool.map(_scan_task, [(w, h, k, None) for w, h in pending])
-            ):
-                _append_checkpoint(checkpoint, slab, result)
-                results.append(result)
-    else:
-        for slab in pending:
-            result = _scan_shapes(slab[0], slab[1], k)
+    done = _load_checkpoint(checkpoint, k) if checkpoint else {}
+    tasks = [
+        task
+        for slab in ((w, h) for w in range(1, k + 1) for h in range(1, k + 1))
+        if slab not in done
+        for task in _slab_tasks(*slab, k, jobs)
+    ]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        scanned = zip(tasks, (pool.map if pool else map)(_scan_task, tasks))
+        for slab, chunks in groupby(scanned, key=lambda tr: tr[0][:2]):
+            done[slab] = _merge(result for _, result in chunks)
             if checkpoint:
-                _append_checkpoint(checkpoint, slab, result)
-            results.append(result)
+                _append_checkpoint(checkpoint, k, slab, done[slab])
 
-    shape_count = sum(r[0] for r in results)
-    pair_count = sum(r[1] for r in results)
-    best = max(r[2] for r in results)
-    arg_keys = sorted(key for r in results if r[2] == best for key in r[3])
+    shape_count, pair_count, best, arg_keys = _merge(done.values())
     if best < 0 or best % 2:
         raise AssertionError("no evaluable pairs or parity violation")
     argmax = tuple(
         (
-            BarrierShape(
-                width,
-                height,
-                frozenset(
-                    Position(x, y)
-                    for y in range(height)
-                    for x in range(width)
-                    if mask >> (y * width + x) & 1
-                ),
-            ),
+            _shape_from_rows(w, h, tuple(mask >> y * w & (1 << w) - 1 for y in range(h))),
             Position(px, py),
         )
-        for width, height, mask, px, py in arg_keys
+        for w, h, mask, px, py in arg_keys
     )
     return CkResult(k, best // 2, shape_count, pair_count, len(arg_keys), argmax)
 

@@ -135,7 +135,8 @@ class LineSynchronizer:
             self._step(t)
             t += 1
         births = [b for b in self.births if b is not None]
-        assert len(births) == self.n
+        if len(births) != self.n:
+            raise AssertionError(f"{self.n - len(births)} cells never became generals")
         fires = [
             1 + max(births[j] for j in (i - 1, i, i + 1) if 0 <= j < self.n)
             for i in range(self.n)
@@ -232,18 +233,12 @@ class LineSynchronizer:
             self.slows = [s for s in self.slows if s.alive]
 
 
-def run_line(n: int, start_time: int = 0, quiescence_check: bool = True) -> LineRun:
-    """Synchronize an n-cell line and report per-cell general/firing times."""
-    run = LineSynchronizer(n, start_time, quiescence_check).run()
-    return run
-
-
 def run_line_fssp(n: int, quiescence_check: bool = True) -> int:
     """Firing time of the n-cell line started at 0: exactly 2n - 2.
 
     Raises if the cells do not fire simultaneously.
     """
-    run = run_line(n, 0, quiescence_check)
+    run = LineSynchronizer(n, 0, quiescence_check).run()
     times = set(run.fire_times)
     if len(times) != 1:
         raise AssertionError(f"non-simultaneous firing for n={n}: {sorted(times)}")

@@ -1,10 +1,11 @@
 """Message-timing simulation of pattern-keyed partial synchronizers.
 
-A plan fixes a target size, a slack, a checked region with its expected
-node/hole pattern, and groups of message sites.  Size-check messages are
-born at the far corners at time w exactly when the configuration has the
-target size; pattern messages are born at their sites (general-distance
-plus offset) exactly when the configuration carries the plan's pattern.
+A plan fixes a target size, a slack, the expected node/hole pattern (its
+domain is the checked region), and groups of message sites.  Size-check
+messages are born at the far corners at time w exactly when the
+configuration has the target size; pattern messages are born at their sites
+(general-distance plus offset) exactly when the configuration carries the
+plan's pattern.
 All messages propagate at speed 1 along shortest node paths.  A node is
 willing to fire at 2*target + slack when it holds a size-check message and
 every message of at least one group; the run synchronizes exactly when all
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..errors import OutOfSquareError
+from ..errors import OutOfSquareError, ParseError, ValidationError
 from ..grid import (
     V_GEN,
     Configuration,
@@ -36,14 +37,10 @@ from .transcript import FiringTranscript
 class MessagePlan:
     target_size: int
     slack: int
-    checked_region: frozenset[Position]
     groups: tuple[tuple[tuple[Position, int], ...], ...]
     pattern: Pattern
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "checked_region", frozenset(Position(*p) for p in self.checked_region)
-        )
         object.__setattr__(
             self,
             "groups",
@@ -131,22 +128,22 @@ class PlanCheckReport:
     c1: every same-size completion of the pattern keeps the through-corner
         bound within the deadline (for two holes, via the critical-pair
         criterion when the slack is zero);
-    c2: each group's messages jointly pin exactly the plan pattern (all
-        message groups share the plan pattern here, so this holds by
-        construction);
     c5: every node of the reference configuration is reached by a full
-        message group within the deadline.  (c3/c4 are how the simulator
-        generates messages, true by construction.)
+        message group within the deadline.
+
+    c2 (each group's messages jointly pin exactly the plan pattern) holds
+    by construction, since all message groups share the plan pattern; c3/c4
+    are how the simulator generates messages, also true by construction.
+    So none of them has a field here.
     """
 
     c1_ok: bool
-    c2_ok: bool
     c5_ok: bool
     failures: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.c1_ok and self.c2_ok and self.c5_ok
+        return self.c1_ok and self.c5_ok
 
 
 def pattern_completions(plan: MessagePlan, k: int) -> list[Configuration]:
@@ -169,7 +166,7 @@ def pattern_completions(plan: MessagePlan, k: int) -> list[Configuration]:
         if len(chosen) == free:
             try:
                 outs.append(validate(w, pinned | set(chosen)))
-            except Exception:
+            except ValidationError:
                 pass
             return
         for i in range(start, len(candidates)):
@@ -220,7 +217,7 @@ def check_c_conditions(plan: MessagePlan, cfg: Configuration) -> PlanCheckReport
                 c5_ok = False
                 failures.append(f"C5: node {tuple(v)} is not covered by any group")
 
-    return PlanCheckReport(c1_ok=c1_ok, c2_ok=True, c5_ok=c5_ok, failures=failures)
+    return PlanCheckReport(c1_ok=c1_ok, c5_ok=c5_ok, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,6 @@ def plan_to_json(plan: MessagePlan) -> str:
     doc = {
         "target_size": plan.target_size,
         "slack": plan.slack,
-        "checked_region": sorted([p.x, p.y] for p in plan.checked_region),
         "groups": [
             [[[site.x, site.y], off] for site, off in group] for group in plan.groups
         ],
@@ -244,22 +240,21 @@ def plan_to_json(plan: MessagePlan) -> str:
 
 
 def plan_from_json(text: str) -> MessagePlan:
-    doc = json.loads(text)
-    pattern = Pattern(
-        frozenset(
-            [(Position(*p), "N") for p in doc["pattern"]["nodes"]]
-            + [(Position(*p), "H") for p in doc["pattern"]["holes"]]
+    """Read a plan file; a "checked_region" key from older files is ignored."""
+    try:
+        doc = json.loads(text)
+        pattern = Pattern(
+            frozenset(
+                [(Position(*p), "N") for p in doc["pattern"]["nodes"]]
+                + [(Position(*p), "H") for p in doc["pattern"]["holes"]]
+            )
         )
-    )
-    return MessagePlan(
-        target_size=doc["target_size"],
-        slack=doc["slack"],
-        checked_region=frozenset(Position(*p) for p in doc["checked_region"]),
-        groups=tuple(
+        groups = tuple(
             tuple((Position(*site), off) for site, off in group) for group in doc["groups"]
-        ),
-        pattern=pattern,
-    )
+        )
+        return MessagePlan(doc["target_size"], doc["slack"], groups, pattern)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed plan JSON: {exc}") from exc
 
 
 def worked_instance_plan() -> MessagePlan:
@@ -274,7 +269,6 @@ def worked_instance_plan() -> MessagePlan:
     return MessagePlan(
         target_size=7,
         slack=0,
-        checked_region=frozenset(Position(*h) for h in holes),
         groups=(((Position(3, 0), 0),),),
         pattern=pattern,
     )

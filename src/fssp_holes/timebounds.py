@@ -19,6 +19,7 @@ from .errors import (
     NotANodeError,
     NotInBarrierError,
     SizeMismatchError,
+    ValidationError,
     WrongHoleCountError,
 )
 from .grid import (
@@ -210,10 +211,6 @@ def _certificate_forest(w: int):
         for name in HALF_PLANES
     }
 
-    def is_goal(state: tuple[Position, Position]) -> bool:
-        a, b = state
-        return abs(a.x - a.y) == 2 and b == a + (1, 1)
-
     dist: dict[tuple[Position, Position], int] = {}
     parent: dict[tuple[Position, Position], tuple[tuple[Position, Position], ChainStep]] = {}
     queue = deque()
@@ -304,7 +301,7 @@ def verify_certificate(chain: CertificateChain, check_equiv: bool = False) -> bo
         new_holes = (cfg.holes - {step.moved_from}) | {Position(*step.moved_to)}
         try:
             nxt = validate(w, new_holes)
-        except Exception:
+        except ValidationError:
             return False
         plane = half_plane_set(w, step.half_plane)
         if step.moved_from in plane or Position(*step.moved_to) in plane:

@@ -42,6 +42,33 @@ class TestValidate:
         assert code == 0 and json.loads(out) == {"valid": True, "size": 5, "holes": 2}
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, text, env, code",
+        [
+            (["classify"], '{"size": 12, "holes": [[8, 2], [2', None, "ParseError"),
+            (["classify"], '{"size": "12", "holes": []}', None, "ParseError"),
+            (["classify"], "w=2\n...\n.x.\n...\n", None, "ParseError"),
+            (["validate"], "w=2\n...\n.?.\n...\n", None, "ParseError"),
+            (["validate"], '{"size": 0, "holes": []}', None, "SizeTooSmall"),
+            (["ck", "--k", "3", "--jobs", "1"], None, "3.5", "ParseError"),
+        ],
+        ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
+             "budget-env"],
+    )
+    def test_exit_2_with_code(self, tmp_path, monkeypatch, capsys, argv, text, env, code):
+        if text is not None:
+            path = tmp_path / "cfg"
+            path.write_text(text)
+            argv = argv + [str(path)]
+        if env is not None:
+            monkeypatch.setenv("FSSP_BUDGET_K", env)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert code in captured.out + captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestCk:
     def test_k2_payload(self, capsys):
         code, out = run_cli(capsys, "ck", "--k", "2")
@@ -56,6 +83,15 @@ class TestCk:
 
     def test_budget_exit_4(self, capsys):
         assert main(["ck", "--k", "8"]) == 4
+
+    def test_checkpoint_for_other_k_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "ck.jsonl")
+        code, out = run_cli(capsys, "ck", "--k", "4", "--jobs", "1", "--checkpoint", path)
+        assert code == 0 and json.loads(out)["shapes"] == 224
+        code = main(["ck", "--k", "5", "--jobs", "1", "--checkpoint", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "CheckpointMismatch" in captured.err
 
     def test_list_argmax(self, capsys):
         code, out = run_cli(capsys, "ck", "--k", "2", "--list-argmax")

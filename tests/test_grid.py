@@ -6,6 +6,7 @@ from fssp_holes.errors import (
     BoundaryHoleError,
     DisconnectedError,
     NotANodeError,
+    SizeTooSmallError,
     TooManyHolesError,
 )
 from fssp_holes.grid import (
@@ -47,6 +48,10 @@ class TestValidate:
             validate(1, [(1, 1)])
         # within budget: the single interior cell of w=2 may be a hole
         assert validate(2, [(1, 1)]).k == 1
+
+    def test_size_below_one(self):
+        with pytest.raises(SizeTooSmallError):
+            validate(0, [])
 
 
 class TestDistances:

@@ -1,6 +1,6 @@
 import pytest
 
-from fssp_holes.sim.line import LineSynchronizer, run_line, run_line_fssp
+from fssp_holes.sim.line import LineSynchronizer, run_line_fssp
 
 
 class TestFiringTime:
@@ -25,13 +25,13 @@ class TestFiringTime:
 
 class TestStructure:
     def test_start_offset_shifts_everything(self):
-        base = run_line(9, 0)
-        shifted = run_line(9, 5)
+        base = LineSynchronizer(9, 0).run()
+        shifted = LineSynchronizer(9, 5).run()
         assert [b - 5 for b in shifted.births] == base.births
         assert [f - 5 for f in shifted.fire_times] == base.fire_times
 
     def test_simultaneous_and_no_stragglers(self):
-        run = run_line(33)
+        run = LineSynchronizer(33).run()
         assert len(set(run.fire_times)) == 1
         assert max(run.births) == run.fire_times[0] - 1
 

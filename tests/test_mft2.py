@@ -76,7 +76,7 @@ class TestWitnessPlans:
         cfg = validate(12, [(1, 3), (2, 5)])  # two holes meeting U, no pair
         plan = build_witness_plan(cfg)
         fam = regions(12)
-        assert plan.checked_region == fam.UV
+        assert plan.pattern.domain == fam.UV
         assert plan.groups == (((fam.v_cnt, 0),),)
         assert check_c_conditions(plan, cfg).ok
 
@@ -99,7 +99,7 @@ class TestWitnessPlans:
         vc = fam.v_cnt
         cfg = validate(w, [vc + (-1, 1), vc + (1, 1)])
         plan = build_witness_plan(cfg)
-        assert plan.checked_region == fam.UVW
+        assert plan.pattern.domain == fam.UVW
         assert {g[0][0] for g in plan.groups} == {vc + (0, 1), vc + (1, 0)}
         assert check_c_conditions(plan, cfg).ok
         assert run_message_plan(cfg, plan).common_fire_time() == 2 * w
@@ -110,7 +110,7 @@ class TestWitnessPlans:
         vc = fam.v_cnt
         cfg = validate(w, [vc + (0, 1), vc + (1, 0)])
         plan = build_witness_plan(cfg)
-        assert vc + (1, 1) not in plan.checked_region
+        assert vc + (1, 1) not in plan.pattern.domain
         assert len(plan.groups) == 2 and len(plan.groups[1]) == 2
         assert check_c_conditions(plan, cfg).ok
         assert run_message_plan(cfg, plan).common_fire_time() == 2 * w
@@ -132,7 +132,7 @@ class TestWitnessPlans:
         v0 = vc - (2, 0)
         cfg = validate(w, [v0, (9, 9)])
         plan = build_witness_plan(cfg)
-        assert v0 + (1, 1) in plan.checked_region
+        assert v0 + (1, 1) in plan.pattern.domain
         assert check_c_conditions(plan, cfg).ok
 
     def test_mirrored_u_v_pair(self):

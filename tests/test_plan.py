@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fssp_holes.grid import Pattern, Position, pattern_of, regions, validate
@@ -39,7 +41,7 @@ class TestSizeCheckOnlyPlan:
     def test_fires_everything_at_h(self):
         # fire on the size-check messages alone at 2w + c_2
         c2 = compute_ck(2).c_k
-        plan = MessagePlan(12, c2, frozenset(), (), Pattern(frozenset()))
+        plan = MessagePlan(12, c2, (), Pattern(frozenset()))
         for holes in ([(6, 4), (7, 5)], [(3, 3), (8, 8)], [(10, 3), (3, 10)]):
             tr = run_message_plan(validate(12, holes), plan)
             assert tr.common_fire_time() == 24 + c2
@@ -47,7 +49,7 @@ class TestSizeCheckOnlyPlan:
         assert report.ok
 
     def test_zero_slack_version_fails_c1(self):
-        plan = MessagePlan(12, 0, frozenset(), (), Pattern(frozenset()))
+        plan = MessagePlan(12, 0, (), Pattern(frozenset()))
         report = check_c_conditions(plan, validate(12, [(3, 3), (8, 8)]))
         assert not report.c1_ok  # a critical-pair completion exceeds 2w
 
@@ -59,7 +61,7 @@ class TestC5Failure:
         vc = fam.v_cnt
         cfg = validate(w, [vc + (0, 1), vc + (1, 0)])
         plan = MessagePlan(
-            w, 0, frozenset(fam.UVW), (((vc, 0),),), pattern_of(cfg, fam.UVW)
+            w, 0, (((vc, 0),),), pattern_of(cfg, fam.UVW)
         )
         report = check_c_conditions(plan, cfg)
         assert not report.c5_ok
@@ -74,7 +76,7 @@ class TestCompletions:
         cfg = validate(12, [(4, 6), (5, 3)])
         fam = regions(12)
         plan = MessagePlan(
-            12, 0, frozenset(fam.UV), (((fam.v_cnt, 0),),), pattern_of(cfg, fam.UV)
+            12, 0, (((fam.v_cnt, 0),),), pattern_of(cfg, fam.UV)
         )
         comps = pattern_completions(plan, 2)
         assert comps == [cfg]
@@ -83,7 +85,7 @@ class TestCompletions:
         cfg = validate(12, [(5, 7), (9, 2)])
         fam = regions(12)
         pat = pattern_of(cfg, fam.UVW)
-        plan = MessagePlan(12, 0, frozenset(fam.UVW), (((fam.v_cnt, 0),),), pat)
+        plan = MessagePlan(12, 0, (((fam.v_cnt, 0),),), pat)
         comps = pattern_completions(plan, 2)
         assert all(Position(5, 7) in c.holes for c in comps)
         assert len(comps) == sum(
@@ -101,12 +103,16 @@ class TestPlanJson:
         assert plan_from_json(text) == plan
         assert plan_to_json(plan_from_json(text)) == text
 
+    def test_reads_old_files_with_checked_region(self):
+        doc = json.loads(plan_to_json(worked_instance_plan()))
+        doc["checked_region"] = [[1, 1], [2, 1], [3, 1]]
+        assert plan_from_json(json.dumps(doc)) == worked_instance_plan()
+
     def test_site_must_not_be_pattern_hole(self):
         with pytest.raises(ValueError):
             MessagePlan(
                 5,
                 0,
-                frozenset({Position(1, 1)}),
                 (((Position(1, 1), 0),),),
                 Pattern(frozenset({(Position(1, 1), "H")})),
             )

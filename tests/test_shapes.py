@@ -1,6 +1,13 @@
+import json
+
 import pytest
 
-from fssp_holes.errors import BudgetExceededError, UnreachableError
+from fssp_holes.errors import (
+    BudgetExceededError,
+    CheckpointMismatchError,
+    ParseError,
+    UnreachableError,
+)
 from fssp_holes.grid import Position
 from fssp_holes.shapes import (
     BarrierShape,
@@ -32,6 +39,11 @@ class TestEnumeration:
             rows = {h.y for h in shape.holes}
             assert cols == set(range(shape.width))
             assert rows == set(range(shape.height))
+
+    def test_budget_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("FSSP_BUDGET_K", "six")
+        with pytest.raises(ParseError):
+            compute_ck(3)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -151,3 +163,57 @@ class TestCk:
             seq.argmax_pair_count,
         )
         assert par.argmax_pairs == seq.argmax_pairs
+
+
+def _row(r):
+    return r.c_k, r.shape_count, r.pair_count, r.argmax_pair_count, r.argmax_pairs
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resumed_run_equals_fresh(self, tmp_path, jobs):
+        path = tmp_path / "ck.jsonl"
+        fresh = compute_ck(4, jobs=jobs, checkpoint=str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 16  # one record per (W, H) slab
+        path.write_text("".join(lines[:7]))
+        resumed = compute_ck(4, jobs=jobs, checkpoint=str(path))
+        assert _row(resumed) == _row(fresh) == _row(compute_ck(4))
+        slabs = [(d["w"], d["h"]) for d in map(json.loads, path.read_text().splitlines())]
+        assert sorted(slabs) == [(w, h) for w in range(1, 5) for h in range(1, 5)]
+
+    def test_fully_checkpointed_run_scans_nothing(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck.jsonl")
+        fresh = compute_ck(4, checkpoint=path)
+        monkeypatch.setattr("fssp_holes.shapes._scan_shapes", None)
+        assert _row(compute_ck(4, checkpoint=path)) == _row(fresh)
+
+    def test_other_k_fails_closed(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        compute_ck(4, checkpoint=path)
+        with pytest.raises(CheckpointMismatchError):
+            compute_ck(5, checkpoint=path)
+
+    def test_unversioned_record_fails_closed(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        path.write_text('{"w": 1, "h": 1, "shapes": 1, "pairs": 0, "best": -1, "arg": []}\n')
+        with pytest.raises(CheckpointMismatchError):
+            compute_ck(4, checkpoint=str(path))
+
+    def test_malformed_record_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        path.write_text("not json\n")
+        with pytest.raises(ParseError):
+            compute_ck(4, checkpoint=str(path))
+
+    def test_truncated_tail_recovers(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        fresh = compute_ck(4, checkpoint=str(path))
+        text = path.read_text()
+        cut = text.rstrip("\n").rfind("\n") + 1
+        path.write_text(text[: cut + 12])  # half-written last record
+        assert _row(compute_ck(4, checkpoint=str(path))) == _row(fresh)
+        text = path.read_text()
+        assert text.endswith("\n")
+        records = [json.loads(line) for line in text.splitlines()]
+        assert len(records) == 16 and all(r["k"] == 4 for r in records)
