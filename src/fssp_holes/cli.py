@@ -215,7 +215,7 @@ def _cmd_certify(args) -> int:
     cfg = load_config_file(args.config)
     chain, reason = tb.certificate_search_report(cfg)
     if chain is None:
-        print(f"NOT_FOUND ({reason})")
+        print(f"NOT_FOUND ({reason}: no relocation chain reaches a critical pair)")
         return EXIT_NOT_FOUND
     for step in chain.steps:
         print(
@@ -359,8 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except FsspError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # An unreadable input path: missing, a directory, no permission.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

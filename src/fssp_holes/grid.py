@@ -324,7 +324,7 @@ def load_json(text: str) -> Configuration:
         size, holes = doc["size"], [(x, y) for x, y in doc["holes"]]
         if not all(type(v) is int for v in (size, *sum(holes, ()))):
             raise TypeError("size and hole coordinates must be integers")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed configuration JSON: {exc}") from exc
     return validate(size, holes)
 
@@ -341,12 +341,12 @@ def dump_ascii(cfg: Configuration) -> str:
 
 def load_ascii(text: str) -> Configuration:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("w=") or not lines[0][2:].strip().isdigit():
+    if not lines or not lines[0].startswith("w=") or not lines[0][2:].strip().isdecimal():
         raise ParseError("ASCII configuration must start with a 'w=<size>' line")
     w = int(lines[0][2:])
-    rows = lines[1 : w + 2]
+    rows = lines[1:]
     if len(rows) != w + 1 or any(len(r) != w + 1 for r in rows):
-        raise ParseError(f"expected {w + 1} rows of {w + 1} characters")
+        raise ParseError(f"expected exactly {w + 1} rows of {w + 1} characters")
     holes = []
     for i, row in enumerate(rows):
         y = w - i
@@ -360,8 +360,12 @@ def load_ascii(text: str) -> Configuration:
 
 def load_config_file(path: str) -> Configuration:
     """Load a configuration from a JSON or ASCII file (sniffed by content)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"configuration file is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return load_json(text)

@@ -34,11 +34,8 @@ from .timebounds import (
     CertificateChain,
     certificate_search_report,
     has_critical_pair,
+    is_critical,
 )
-
-
-def _is_critical(p: Position) -> bool:
-    return abs(p.x - p.y) == 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ def type_of(cfg: Configuration) -> HoleTypeProfile:
     fam = regions(cfg.size)
     sets = (fam.U, fam.V, fam.W, fam.X)
     counts = tuple(sum(1 for h in cfg.holes if h in s) for s in sets)
-    crit = tuple(sum(1 for h in cfg.holes if h in s and _is_critical(h)) for s in sets)
+    crit = tuple(sum(1 for h in cfg.holes if h in s and is_critical(h)) for s in sets)
     return HoleTypeProfile(
         counts,  # type: ignore[arg-type]
         crit,  # type: ignore[arg-type]
@@ -87,7 +84,7 @@ def is_slow_case(cfg: Configuration) -> bool:
         return True
     if profile.counts[0] == profile.counts[1] == 0 and profile.counts[2] == 1:
         (w_hole,) = [h for h in cfg.holes if h in fam.W]
-        if _is_critical(w_hole):
+        if is_critical(w_hole):
             return True
     if has_critical_pair(cfg) and all(h in fam.UVW for h in cfg.holes):
         return True
@@ -198,10 +195,10 @@ def _w_band_plan(cfg: Configuration, fam) -> MessagePlan:
         return _plan(cfg, frozenset(fam.UVW), [[v_cnt]])
     # Odd w: the W band owns its outer corner, which no U u V neighbor sees.
     w_prime = fam.W - {corner}
-    c0 = sum(1 for h in cfg.holes if h in w_prime and _is_critical(h))
+    c0 = sum(1 for h in cfg.holes if h in w_prime and is_critical(h))
     c2 = corner in cfg.holes
     if c2 and c0 <= 1 and not any(
-        h in w_prime and not _is_critical(h) for h in cfg.holes
+        h in w_prime and not is_critical(h) for h in cfg.holes
     ):
         # Corner hole present, rest of the band clean or one critical hole:
         # two alternative messages just past the V corner check it.
@@ -221,8 +218,8 @@ def _v_band_plan(cfg: Configuration, fam) -> MessagePlan:
             [[inner], [v_cnt - (2, 0), v_cnt - (0, 2)]],
         )
     v_prime = fam.V - {v_cnt}
-    crit_vp = [h for h in cfg.holes if h in v_prime and _is_critical(h)]
-    noncrit_vp = [h for h in cfg.holes if h in v_prime and not _is_critical(h)]
+    crit_vp = [h for h in cfg.holes if h in v_prime and is_critical(h)]
+    noncrit_vp = [h for h in cfg.holes if h in v_prime and not is_critical(h)]
     b2 = v_cnt in cfg.holes
     if b2 and len(crit_vp) <= 1 and not noncrit_vp:
         return _plan(cfg, frozenset(fam.UV), [[left], [down]])

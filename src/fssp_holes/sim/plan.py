@@ -29,7 +29,7 @@ from ..grid import (
     pattern_of,
     validate,
 )
-from ..timebounds import has_critical_pair, max_t
+from ..timebounds import is_critical, max_t
 from .transcript import FiringTranscript
 
 
@@ -126,8 +126,8 @@ class PlanCheckReport:
     """Computational verification of the plan-correctness conditions.
 
     c1: every same-size completion of the pattern keeps the through-corner
-        bound within the deadline (for two holes, via the critical-pair
-        criterion when the slack is zero);
+        bound within the deadline (for two holes and zero slack, no
+        completion has a critical pair, tested directly on the free cells);
     c5: every node of the reference configuration is reached by a full
         message group within the deadline.
 
@@ -178,6 +178,45 @@ def pattern_completions(plan: MessagePlan, k: int) -> list[Configuration]:
     return outs
 
 
+def _critical_pair_completion(plan: MessagePlan) -> frozenset[Position] | None:
+    """Holes of the first two-hole completion with a critical pair, or None.
+
+    "First" is in the order of pattern_completions(plan, 2).  Two interior
+    holes never disconnect the square, so every completion is valid once
+    the pinned holes are interior; the test reads the pinned holes and the
+    free cells (interior, outside the pattern domain) without a BFS.
+    """
+    w = plan.target_size
+    domain = plan.pattern.domain
+    pinned = sorted(plan.pattern.holes())
+
+    def interior(p: Position) -> bool:
+        return 1 <= p.x < w and 1 <= p.y < w
+
+    def free(p: Position) -> bool:
+        return interior(p) and p not in domain
+
+    if len(pinned) > 2 or not all(map(interior, pinned)):
+        return None
+    if len(pinned) == 2:
+        a, b = pinned
+        return frozenset(pinned) if is_critical(a) and b == a + (1, 1) else None
+    if len(pinned) == 1:
+        (a,) = pinned
+        if not is_critical(a):
+            return None
+        # a - (1, 1) precedes a + (1, 1) among the free cells.
+        g = next((g for g in (a - (1, 1), a + (1, 1)) if free(g)), None)
+        return None if g is None else frozenset((a, g))
+    # No pinned hole: the first pair is the least critical free cell c,
+    # in (x, y) order, whose diagonal neighbor c + (1, 1) is free too.
+    for x in range(1, w):
+        for c in (Position(x, x - 2), Position(x, x + 2)):
+            if free(c) and free(c + (1, 1)):
+                return frozenset((c, c + (1, 1)))
+    return None
+
+
 def check_c_conditions(plan: MessagePlan, cfg: Configuration) -> PlanCheckReport:
     """Verify C1 (all completions in time), C5 (coverage on cfg); C2 structural."""
     failures: list[str] = []
@@ -188,19 +227,18 @@ def check_c_conditions(plan: MessagePlan, cfg: Configuration) -> PlanCheckReport
     if not has_pattern(cfg, plan.pattern):
         failures.append("reference configuration does not carry the plan pattern")
 
-    c1_ok = True
-    for comp in pattern_completions(plan, cfg.k):
-        if cfg.k == 2 and plan.slack == 0:
-            bad = has_critical_pair(comp)
-        else:
-            bad = max_t(comp) > deadline
-        if bad:
-            c1_ok = False
-            failures.append(
-                f"C1: completion with holes {sorted(tuple(h) for h in comp.holes)} "
-                f"exceeds the deadline"
-            )
-            break
+    if cfg.k == 2 and plan.slack == 0:
+        late = _critical_pair_completion(plan)
+    else:
+        late = next(
+            (c.holes for c in pattern_completions(plan, cfg.k) if max_t(c) > deadline), None
+        )
+    c1_ok = late is None
+    if not c1_ok:
+        failures.append(
+            f"C1: completion with holes {sorted(tuple(h) for h in late)} "
+            f"exceeds the deadline"
+        )
 
     c5_ok = True
     if plan.groups:

@@ -10,7 +10,6 @@ bounds by reaching a configuration with a critical pair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +27,6 @@ from .grid import (
     Position,
     boundary_condition,
     distance_grid,
-    pattern_of,
     regions,
     validate,
     via_distance,
@@ -100,9 +98,14 @@ def shape_of_barrier(cfg: Configuration, rect: Rect) -> BarrierShape:
     return BarrierShape(rect.width, rect.height, holes)
 
 
+def is_critical(p: tuple[int, int]) -> bool:
+    """True for a cell at |x - y| = 2, where the holes of a critical pair sit."""
+    return abs(p[0] - p[1]) == 2
+
+
 def critical_holes(cfg: Configuration) -> frozenset[Position]:
     """Holes at |x - y| = 2."""
-    return frozenset(h for h in cfg.holes if abs(h.x - h.y) == 2)
+    return frozenset(h for h in cfg.holes if is_critical(h))
 
 
 def has_critical_pair(cfg: Configuration) -> bool:
@@ -159,13 +162,17 @@ def equiv_prime(
 
 
 def pattern_move_equiv(cfg_a: Configuration, cfg_b: Configuration, plane: str) -> bool:
-    """Pattern equality of the two configurations on H0, H1 or H2."""
+    """Pattern equality of the two configurations on H0, H1 or H2.
+
+    Both squares have the same size and contain the set, so the patterns
+    agree exactly when the holes inside the set do.
+    """
     if cfg_a.size != cfg_b.size:
         raise SizeMismatchError(
             f"sizes differ: {cfg_a.size} vs {cfg_b.size}"
         )
     region = half_plane_set(cfg_a.size, plane)
-    return pattern_of(cfg_a, region) == pattern_of(cfg_b, region)
+    return cfg_a.holes & region == cfg_b.holes & region
 
 
 @dataclass(frozen=True)
@@ -188,75 +195,49 @@ class CertificateChain:
         return len(self.steps)
 
 
-MAX_CHAIN_DEPTH = 64
+@lru_cache(maxsize=16)
+def _move_tables(w: int):
+    """Per-w lookup tables of the relocation moves, all over interior cells.
 
-
-def _interior(w: int) -> list[Position]:
-    return [Position(x, y) for x in range(1, w) for y in range(1, w)]
-
-
-@lru_cache(maxsize=8)
-def _certificate_forest(w: int):
-    """Breadth-first forest over two-hole states, rooted at the goal set.
-
-    Relocation moves are symmetric, so one reverse BFS from every
-    critical-pair state yields shortest chains from every start at once.
-    Returns (dist, parent) keyed by sorted hole pairs; parent values are
-    (next_state, ChainStep) pointing one move closer to the goal.
+    Returns (planes, outside, partners): planes maps each cell to the names
+    of the H0/H1/H2 sets it lies outside, outside maps each name to its
+    cells outside that set, in (x, y) order, and partners maps each
+    critical cell to its interior diagonal neighbors g (the cells that
+    complete a critical pair with it), each with planes[g].
     """
-    cells = _interior(w)
     fam = regions(w)
-    outside = {
-        name: frozenset(c for c in cells if c not in getattr(fam, name))
-        for name in HALF_PLANES
+    cells = [Position(x, y) for x in range(1, w) for y in range(1, w)]
+    planes = {c: tuple(n for n in HALF_PLANES if c not in getattr(fam, n)) for c in cells}
+    outside = {n: tuple(c for c in cells if n in planes[c]) for n in HALF_PLANES}
+    partners = {
+        c: tuple((g, planes[g]) for g in (c - (1, 1), c + (1, 1)) if g in planes)
+        for c in cells
+        if is_critical(c)
     }
-
-    dist: dict[tuple[Position, Position], int] = {}
-    parent: dict[tuple[Position, Position], tuple[tuple[Position, Position], ChainStep]] = {}
-    queue = deque()
-    for a in cells:
-        if abs(a.x - a.y) != 2:
-            continue
-        b = a + (1, 1)
-        if 1 <= b.x <= w - 1 and 1 <= b.y <= w - 1:
-            state = (a, b) if (a, b) == tuple(sorted((a, b))) else (b, a)
-            dist[state] = 0
-            queue.append(state)
-
-    while queue:
-        state = queue.popleft()
-        d = dist[state]
-        for moved in state:
-            stay = state[0] if moved is state[1] else state[1]
-            planes = [name for name in HALF_PLANES if moved in outside[name]]
-            if not planes:
-                continue
-            for target in cells:
-                if target == stay or target == moved:
-                    continue
-                plane = next((nm for nm in planes if target in outside[nm]), None)
-                if plane is None:
-                    continue
-                prev = (stay, target) if stay < target else (target, stay)
-                if prev in dist:
-                    continue
-                dist[prev] = d + 1
-                # Forward move (from prev toward the goal): target -> moved.
-                parent[prev] = (state, ChainStep(plane, target, moved))
-                queue.append(prev)
-    return dist, parent
+    return planes, outside, partners
 
 
-def _state_of(cfg: Configuration) -> tuple[Position, Position]:
-    a, b = sorted(cfg.holes)
-    return (a, b)
+def _closing_move(state, planes, partners) -> ChainStep | None:
+    """A move that turns the two-hole state into a critical pair, or None.
+
+    The kept hole must be critical and the other one moves onto a partner
+    g of it that shares an outside set with the moved hole.  The state
+    itself is never a goal (goals end the search one level earlier), so g
+    is never the moved hole.
+    """
+    for stay, moved in (state, state[::-1]):
+        for g, g_planes in partners.get(stay, ()):
+            for name in g_planes:
+                if name in planes[moved]:
+                    return ChainStep(name, moved, g)
+    return None
 
 
 def lower_bound_certificate(cfg: Configuration) -> CertificateChain | None:
     """Shortest relocation chain from cfg to a critical-pair configuration.
 
-    Returns None when no chain exists (or none within the depth cap); use
-    certificate_search_report for the distinction.
+    Returns None when no chain exists; certificate_search_report also says
+    whether the chain was empty ("immediate") or searched for ("found").
     """
     chain, _ = certificate_search_report(cfg)
     return chain
@@ -265,26 +246,57 @@ def lower_bound_certificate(cfg: Configuration) -> CertificateChain | None:
 def certificate_search_report(
     cfg: Configuration,
 ) -> tuple[CertificateChain | None, str]:
+    """Shortest relocation chain and how the search ended.
+
+    The reason is "immediate" (cfg has a critical pair, empty chain),
+    "found" or "exhausted" (no chain: every state reachable from cfg was
+    searched).  A forward breadth-first search from cfg: each level is
+    first tested for a one-move finish, and only then expanded, so the
+    chain is a shortest one.  The states reachable from cfg are finite,
+    so the search always ends.
+
+    A move relocates a hole outside one of H0/H1/H2 to any other interior
+    cell outside the same set.  All states {stay, x} with x outside a set
+    share their moves into that set, so each (kept hole, set) is expanded
+    once.
+    """
     if cfg.k != 2:
         raise WrongHoleCountError(f"certificate search needs exactly 2 holes, got {cfg.k}")
-    w = cfg.size
     if has_critical_pair(cfg):
         return CertificateChain(cfg, (), cfg), "immediate"
-    dist, parent = _certificate_forest(w)
-    state = _state_of(cfg)
-    if state not in dist:
-        return None, "exhausted"
-    if dist[state] > MAX_CHAIN_DEPTH:
-        return None, "depth-cap"
-    steps = []
-    configs = [cfg]
-    cur = state
-    while dist[cur] > 0:
-        nxt, step = parent[cur]
-        steps.append(step)
-        configs.append(validate(w, list(nxt)))
-        cur = nxt
-    return CertificateChain(cfg, tuple(steps), configs[-1]), "found"
+    w = cfg.size
+    planes, outside, partners = _move_tables(w)
+    start = tuple(sorted(cfg.holes))
+    parent: dict = {start: None}  # state -> (previous state, *step into it)
+    expanded: set = set()  # (kept hole, set name) whose moves are queued
+    level = [start]
+    while level:
+        for state in level:
+            last = _closing_move(state, planes, partners)
+            if last is not None:
+                stay = state[1] if state[0] == last.moved_from else state[0]
+                final = validate(w, [stay, last.moved_to])
+                steps = [last]
+                while parent[state] is not None:
+                    state, *step = parent[state]
+                    steps.append(ChainStep(*step))
+                return CertificateChain(cfg, tuple(reversed(steps)), final), "found"
+        nxt = []
+        for state in level:
+            for moved, stay in (state, state[::-1]):
+                for name in planes[moved]:
+                    if (stay, name) in expanded:
+                        continue
+                    expanded.add((stay, name))
+                    for target in outside[name]:
+                        if target == stay:
+                            continue
+                        new = (stay, target) if stay < target else (target, stay)
+                        if new not in parent:
+                            parent[new] = (state, name, moved, target)
+                            nxt.append(new)
+        level = nxt
+    return None, "exhausted"
 
 
 def verify_certificate(chain: CertificateChain, check_equiv: bool = False) -> bool:

@@ -51,15 +51,22 @@ class TestBadInput:
             (["classify"], "w=2\n...\n.x.\n...\n", None, "ParseError"),
             (["validate"], "w=2\n...\n.?.\n...\n", None, "ParseError"),
             (["validate"], '{"size": 0, "holes": []}', None, "SizeTooSmall"),
+            (["validate"], "w=2\n...\n...\n...\n###\n", None, "ParseError"),
+            (["validate"], b'{"size": 5, "holes": [[\xff, 2]]}', None, "ParseError"),
+            (["validate"], "w=\u00b2\n...\n...\n...\n", None, "ParseError"),
+            (["validate"], '{"size": ' + "[" * 100_000, None, "ParseError"),
             (["ck", "--k", "3", "--jobs", "1"], None, "3.5", "ParseError"),
         ],
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
-             "budget-env"],
+             "extra-row", "not-utf8", "superscript-size", "deep-json", "budget-env"],
     )
     def test_exit_2_with_code(self, tmp_path, monkeypatch, capsys, argv, text, env, code):
         if text is not None:
             path = tmp_path / "cfg"
-            path.write_text(text)
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text)
             argv = argv + [str(path)]
         if env is not None:
             monkeypatch.setenv("FSSP_BUDGET_K", env)
@@ -67,6 +74,18 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code in captured.out + captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("cmd", ["validate", "classify"])
+    def test_directory_argument_exit_2(self, tmp_path, capsys, cmd):
+        assert main([cmd, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: IsADirectoryError:")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError:")
 
 
 class TestCk:

@@ -1,0 +1,112 @@
+"""Property tests of the configuration file formats and the CLI's exit-code
+contract on malformed files.
+
+Round trips through JSON and ASCII are bit-exact.  A malformed file makes
+`fssp-holes validate` exit 2 with an error code, never a traceback; the
+mutations below are each guaranteed to break the file.
+"""
+
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fssp_holes.cli import main
+from fssp_holes.errors import ValidationError
+from fssp_holes.grid import dump_ascii, dump_json, load_ascii, load_config_file, load_json, validate
+
+
+@st.composite
+def configurations(draw):
+    w = draw(st.integers(1, 14))
+    if w == 1:
+        return validate(1, [])
+    interior = st.tuples(st.integers(1, w - 1), st.integers(1, w - 1))
+    holes = draw(st.lists(interior, max_size=min(12, (w - 1) ** 2), unique=True))
+    try:
+        return validate(w, holes)
+    except ValidationError:
+        return validate(w, [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations())
+def test_json_round_trip(cfg):
+    text = dump_json(cfg)
+    back = load_json(text)
+    assert back == cfg and dump_json(back) == text
+
+
+@settings(max_examples=150, deadline=None)
+@given(configurations())
+def test_ascii_round_trip(cfg):
+    text = dump_ascii(cfg)
+    back = load_ascii(text)
+    assert back == cfg and dump_ascii(back) == text
+
+
+@settings(max_examples=50, deadline=None)
+@given(configurations(), st.booleans())
+def test_file_round_trip(tmp_path_factory, cfg, ascii_form):
+    path = tmp_path_factory.mktemp("rt") / "cfg"
+    text = dump_ascii(cfg) if ascii_form else dump_json(cfg)
+    path.write_text(text, encoding="utf-8")
+    assert load_config_file(str(path)) == cfg
+
+
+# Text added by a mutation never holds a digit, so a mutated size stays small.
+NO_DIGITS = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs")), min_size=1, max_size=4
+).filter(lambda s: s.strip() and "." not in s and "#" not in s)
+
+
+@st.composite
+def malformed_files(draw):
+    """Bytes of a valid JSON or ASCII file after one breaking mutation."""
+    cfg = draw(configurations())
+    kind = draw(st.sampled_from(
+        ["json-truncate", "json-key", "json-junk", "ascii-row", "ascii-char", "ascii-header",
+         "not-utf8"]
+    ))
+    if kind.startswith("json"):
+        text = dump_json(cfg)
+        if kind == "json-truncate":
+            # Every proper prefix lacks the closing brace.
+            text = text[: draw(st.integers(1, len(text) - 1))]
+        elif kind == "json-key":
+            text = text.replace('"size"', '"' + draw(NO_DIGITS).replace('"', "") + 'x"')
+        else:
+            text = text[:-1] + "," + draw(NO_DIGITS) + "}"
+        return text.encode("utf-8")
+    lines = dump_ascii(cfg).splitlines()
+    if kind == "ascii-row":
+        # One row too many, or one too few.
+        at = draw(st.integers(1, len(lines) - 1))
+        if draw(st.booleans()):
+            lines.insert(at, "." * (cfg.size + 1))
+        else:
+            del lines[at]
+    elif kind == "ascii-char":
+        y = draw(st.integers(1, len(lines) - 1))
+        x = draw(st.integers(0, cfg.size))
+        junk = draw(NO_DIGITS)
+        lines[y] = lines[y][:x] + junk + lines[y][x + 1:]
+    elif kind == "ascii-header":
+        lines[0] = draw(st.sampled_from(["", "w", "w:", "size="])) + draw(NO_DIGITS)
+    else:
+        return dump_ascii(cfg).encode("utf-8") + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(malformed_files())
+def test_malformed_file_exit_2_with_code(tmp_path, capsys, data):
+    path = tmp_path / "cfg"
+    path.write_bytes(data)
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 2, data
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["valid"] is False and doc["error"] == "ParseError", (data, doc)
+    assert "Traceback" not in captured.err

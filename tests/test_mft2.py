@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fssp_holes.errors import (
@@ -14,7 +16,7 @@ from fssp_holes.mft2 import (
     type_of,
 )
 from fssp_holes.sim.plan import check_c_conditions, run_message_plan
-from fssp_holes.timebounds import max_t, verify_certificate
+from fssp_holes.timebounds import certificate_search_report, max_t, verify_certificate
 
 from conftest import make_random_config
 
@@ -60,6 +62,30 @@ class TestClassify:
     def test_small_w_rejected(self):
         with pytest.raises(SizeTooSmallError):
             classify(validate(10, [(3, 3), (7, 7)]))
+
+    @pytest.mark.parametrize(
+        "holes,expect",
+        [
+            ([(60, 5), (5, 60)], 129),  # both in X: a two-step chain
+            ([(31, 33), (20, 50)], 129),  # lone critical hole in W
+            ([(10, 10), (50, 50)], 128),  # one hole in U, one in X
+            ([(32, 20), (2, 40)], 128),  # one hole in V, one in X
+        ],
+    )
+    def test_w64_with_certificates_under_a_second(self, holes, expect):
+        cfg = validate(64, holes)
+        t0 = time.process_time()
+        verdict = classify(cfg, with_certificate=True)
+        assert time.process_time() - t0 < 1.0
+        assert verdict.value == expect
+        if verdict.kind == "lower_chain":
+            assert verify_certificate(verdict.chain)
+        else:
+            assert verdict.check.ok
+            t0 = time.process_time()
+            chain, reason = certificate_search_report(cfg)
+            assert time.process_time() - t0 < 1.0
+            assert chain is None and reason == "exhausted"
 
     def test_verdict_dichotomy_and_consistency(self, rng):
         for _ in range(40):

@@ -120,6 +120,21 @@ class TestPatternMoveEquiv:
         d = validate(12, [(6, 7), (9, 2)])
         assert not pattern_move_equiv(c, d, "H1")
 
+    def test_matches_pattern_of(self, rng):
+        from fssp_holes.grid import pattern_of
+        from fssp_holes.timebounds import half_plane_set
+
+        for _ in range(200):
+            w = rng.randint(4, 12)
+            a = make_random_config(rng, w, rng.randint(0, 3))
+            b = make_random_config(rng, w, rng.randint(0, 3))
+            if rng.random() < 0.5:
+                b = validate(w, a.holes | {h for h in b.holes if h.x > w // 2})
+            for plane in ("H0", "H1", "H2"):
+                region = half_plane_set(w, plane)
+                want = pattern_of(a, region) == pattern_of(b, region)
+                assert pattern_move_equiv(a, b, plane) == want
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             pattern_move_equiv(validate(11, []), validate(12, []), "H0")
