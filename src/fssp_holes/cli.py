@@ -44,6 +44,14 @@ class RunReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
+def inputs_digest(inputs: dict) -> str:
+    """sha256 of the canonical JSON of a run's inputs (sorted keys, no spaces)."""
+    import hashlib  # here, not at the top: it loads OpenSSL, ~10 ms of every CLI start
+
+    canonical = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -271,7 +279,7 @@ def repro_tables(ks, jobs: int = 1, budget: int | None = None, seed: int = DEFAU
         )
     return RunReport(
         command=["repro-tables", *map(str, ks)],
-        inputs_digest="-",
+        inputs_digest=inputs_digest({"ks": list(ks), "budget": budget}),
         seed=seed,
         results={"rows": rows},
         elapsed_s=round(time.time() - t0, 3),

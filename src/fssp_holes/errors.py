@@ -66,6 +66,12 @@ class SizeTooSmallError(FsspError, ValueError):
     code = "SizeTooSmall"
 
 
+class SizeTooLargeError(FsspError, ValueError):
+    """A configuration file asks for a square above grid.MAX_SIZE."""
+
+    code = "SizeTooLarge"
+
+
 class NotInBarrierError(FsspError, ValueError):
     code = "NotInBarrier"
 

@@ -20,9 +20,15 @@ from .errors import (
     NotANodeError,
     OutOfSquareError,
     ParseError,
+    SizeTooLargeError,
     SizeTooSmallError,
     TooManyHolesError,
 )
+
+#: Largest square size a configuration file may ask for.  validate builds
+#: (w+1)^2-cell lists, so an unbounded size from a few bytes of input would
+#: cost time and memory growing as w^2.
+MAX_SIZE = 1024
 
 
 class Position(NamedTuple):
@@ -318,6 +324,11 @@ def dump_json(cfg: Configuration) -> str:
     return json.dumps({"size": cfg.size, "holes": holes}, separators=(", ", ": "))
 
 
+def _check_max_size(size: int) -> None:
+    if size > MAX_SIZE:
+        raise SizeTooLargeError(f"size {size} exceeds the maximum {MAX_SIZE}")
+
+
 def load_json(text: str) -> Configuration:
     try:
         doc = json.loads(text)
@@ -326,6 +337,7 @@ def load_json(text: str) -> Configuration:
             raise TypeError("size and hole coordinates must be integers")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed configuration JSON: {exc}") from exc
+    _check_max_size(size)
     return validate(size, holes)
 
 
@@ -344,6 +356,7 @@ def load_ascii(text: str) -> Configuration:
     if not lines or not lines[0].startswith("w=") or not lines[0][2:].strip().isdecimal():
         raise ParseError("ASCII configuration must start with a 'w=<size>' line")
     w = int(lines[0][2:])
+    _check_max_size(w)
     rows = lines[1:]
     if len(rows) != w + 1 or any(len(r) != w + 1 for r in rows):
         raise ParseError(f"expected exactly {w + 1} rows of {w + 1} characters")

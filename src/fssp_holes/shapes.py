@@ -18,7 +18,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
+from operator import add, getitem
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -119,36 +120,35 @@ def _iter_hole_masks(width: int, height: int, k: int, first_masks=None) -> Itera
     """Row masks (one int per row) of covering hole sets with <= k holes.
 
     Depth-first over rows; prunes on the hole budget and on column coverage
-    (each remaining hole can cover at most one new column).
+    (each remaining hole can cover at most one new column).  The last row
+    takes only masks holding every column not yet covered.
     """
     full = (1 << width) - 1
+    ones = [bin(m).count("1") for m in range(full + 1)]
     masks_by_count: list[list[int]] = [[] for _ in range(width + 1)]
     for m in range(1, full + 1):
-        masks_by_count[bin(m).count("1")].append(m)
+        masks_by_count[ones[m]].append(m)
 
     rows: list[int] = []
 
     def rec(row: int, budget: int, covered: int) -> Iterator[tuple[int, ...]]:
-        if row == height:
-            if covered == full:
-                yield tuple(rows)
-            return
-        remaining_rows = height - row
-        max_count = min(width, budget - (remaining_rows - 1))
-        if max_count < 1:
-            return
+        max_count = min(width, budget - (height - row - 1))
+        last = row == height - 1
+        need = full & ~covered if last else 0
         choices: Iterable[int]
         if row == 0 and first_masks is not None:
-            choices = first_masks
+            choices = [m for m in first_masks if ones[m] <= max_count]
         else:
-            choices = (m for c in range(1, max_count + 1) for m in masks_by_count[c])
+            choices = chain.from_iterable(masks_by_count[max(1, ones[need]) : max_count + 1])
+        if last:
+            for m in choices:
+                if m & need == need:
+                    yield (*rows, m)
+            return
         for m in choices:
-            c = bin(m).count("1")
-            if c > max_count:
-                continue
+            c = ones[m]
             new_cov = covered | m
-            uncovered = width - bin(new_cov).count("1")
-            if uncovered > budget - c:
+            if width - ones[new_cov] > budget - c:
                 continue
             rows.append(m)
             yield from rec(row + 1, budget - c, new_cov)
@@ -173,7 +173,7 @@ def _enlarged_holes(shape: BarrierShape) -> list[int]:
     return [(x + 1) * hy + y + 1 for x, y in shape.holes]
 
 
-def _all_nodes_reach_ring(shape: BarrierShape, nw: list[int]) -> bool:
+def _all_nodes_reach_ring(nw: list[int], n_holes: int) -> bool:
     """True iff no node of the shape is sealed off from the surrounding ring.
 
     A shape with a hole-enclosed pocket of nodes cannot occur inside a
@@ -181,23 +181,7 @@ def _all_nodes_reach_ring(shape: BarrierShape, nw: list[int]) -> bool:
     nw is any distance field of the enlarged rectangle from its ring, where
     only holes and unreached nodes read -1.
     """
-    return nw.count(-1) == len(shape.holes)
-
-
-def _slab_shapes(
-    width: int, height: int, k: int, first_masks
-) -> Iterator[tuple[BarrierShape, list[int]]]:
-    """(shape, NW-corner distances) for every shape of one (W, H) slab.
-
-    first_masks, when not None, restricts the hole mask of row 0, to split a
-    slab into tasks.
-    """
-    nw_corner = height + 1  # index of (-1, H)
-    for row_masks in _iter_hole_masks(width, height, k, first_masks):
-        shape = _shape_from_rows(width, height, row_masks)
-        nw = _bfs(width + 2, height + 2, _enlarged_holes(shape), nw_corner)
-        if _all_nodes_reach_ring(shape, nw):
-            yield shape, nw
+    return nw.count(-1) == n_holes
 
 
 def enumerate_shapes(k: int, budget: int | None = None) -> Iterator[BarrierShape]:
@@ -209,8 +193,12 @@ def enumerate_shapes(k: int, budget: int | None = None) -> Iterator[BarrierShape
     _check_budget(k, budget)
     for width in range(1, k + 1):
         for height in range(1, k + 1):
-            for shape, _ in _slab_shapes(width, height, k, None):
-                yield shape
+            for row_masks in _iter_hole_masks(width, height, k):
+                shape = _shape_from_rows(width, height, row_masks)
+                holes = _enlarged_holes(shape)
+                nw = _bfs(width + 2, height + 2, holes, height + 1)  # from (-1, H)
+                if _all_nodes_reach_ring(nw, len(holes)):
+                    yield shape
 
 
 def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
@@ -268,33 +256,108 @@ ScanResult = tuple[int, int, int, list[tuple[int, int, int, int, int]]]
 CHECKPOINT_VERSION = 2
 
 
+def _slab_maps(width: int, height: int) -> list:
+    """The maps (x, y) -> (x', y') of the group {id, transpose, rot180,
+    anti-transpose} that keep the (width, height) slab: id and rot180, and
+    in a square slab also transpose and anti-transpose."""
+    maps = [lambda x, y: (x, y), lambda x, y: (width - 1 - x, height - 1 - y)]
+    if width == height:
+        maps += [lambda x, y: (y, x), lambda x, y: (height - 1 - y, width - 1 - x)]
+    return maps
+
+
+def _row_table(width: int, height: int, cell) -> list[list[list]]:
+    """table[y][m]: cell(x, y) for each hole x of row mask m in row y.
+
+    Lists, not tuples: freed tuples of these small sizes stay on the
+    interpreter's free lists and would raise the scan's peak memory.
+    """
+    return [
+        [[cell(x, y) for x in range(width) if m >> x & 1] for m in range(1 << width)]
+        for y in range(height)
+    ]
+
+
+def _transpose_mask(mask: int, width: int, height: int) -> int:
+    """Row-major hole mask of the transposed shape, (x, y) to (y, x) in slab (H, W)."""
+    return sum(
+        1 << (x * height + y)
+        for y in range(height)
+        for x in range(width)
+        if mask >> (y * width + x) & 1
+    )
+
+
 def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
-    """Enumerate one (width, height) slab: (shapes, pairs, best, argmax keys)."""
-    hy = height + 2
-    se_corner = (width + 1) * hy  # index of (W, -1)
-    shapes = 0
-    pairs = 0
+    """Scan one (width, height) slab, width <= height: (shapes, pairs, best, argmax keys).
+
+    e2 = 2 e_max is invariant under rot180, transpose and anti-transpose:
+    each map swaps the NW and SE corners of the enlarged rectangle, so d0
+    and d1 swap.  Only the shape with the smallest row-major hole mask in
+    its orbit under the maps that keep the slab (_slab_maps) runs the two
+    corner BFS.  Its shapes and pairs count once per distinct image, and
+    its argmax nodes are expanded into every image, so the result equals a
+    scan of every raw shape.  The (height, width) slab's result is _mirror
+    of this one.
+    """
+    nx, ny = width + 2, height + 2
+    nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
+    corners = width + height + 2
+    area = width * height
+    maps = _slab_maps(width, height)
+    # Per row and row mask: the image's row-major hole bits under each map,
+    # and the hole indices in the enlarged rectangle.
+    image_bits = [
+        [
+            [sum(1 << (py * width + px) for px, py in cells) for cells in row]
+            for row in _row_table(width, height, f)
+        ]
+        for f in maps
+    ]
+    row_holes = _row_table(width, height, lambda x, y: (x + 1) * ny + y + 1)
+    cells = {(x + 1) * ny + y + 1 for x in range(width) for y in range(height)}
+    shapes = pairs = 0
     best = -1
-    arg: list[tuple[int, int, int, int, int]] = []
-    for shape, nw in _slab_shapes(width, height, k, first_masks):
-        shapes += 1
-        if len(shape.holes) == width * height:
+    reps: list[tuple[list[int], int]] = []
+    for rows in _iter_hole_masks(width, height, k, first_masks):
+        images = [sum(map(getitem, bits, rows)) for bits in image_bits]
+        if min(images) < images[0]:
+            continue  # not the orbit's representative
+        holes = list(chain.from_iterable(map(getitem, row_holes, rows)))
+        nw = _bfs(nx, ny, holes, nw_corner)
+        if not _all_nodes_reach_ring(nw, len(holes)):
+            continue
+        weight = len(set(images))
+        shapes += weight
+        if len(holes) == area:
             continue  # no nodes
-        se = _bfs(width + 2, hy, _enlarged_holes(shape), se_corner)
-        mask = shape.hole_mask()
-        for x in range(width):
-            col = (x + 1) * hy + 1
-            for y in range(height):
-                if nw[col + y] < 0:
-                    continue  # a hole: every node of the shape reaches the ring
-                pairs += 1
-                e2 = -width - height - 2 + nw[col + y] + se[col + y]
-                if e2 > best:
-                    best = e2
-                    arg = [(width, height, mask, x, y)]
-                elif e2 == best:
-                    arg.append((width, height, mask, x, y))
-    return shapes, pairs, best, arg
+        pairs += weight * (area - len(holes))
+        # d0 + d1 over the whole enlarged rectangle.  It reads exactly
+        # `corners` on the ring (Manhattan distances there) and no less at a
+        # node, so the maximum is a node's; holes read -2.
+        sums = list(map(add, nw, _bfs(nx, ny, holes, se_corner)))
+        top = max(sums)
+        if top - corners < best:
+            continue
+        if top - corners > best:
+            best = top - corners
+            reps = []
+        reps += [(images, i) for i, s in enumerate(sums) if s == top and i in cells]
+    keys = {
+        (width, height, mask, *f(i // ny - 1, i % ny - 1))
+        for images, i in reps
+        for mask, f in zip(images, maps)
+    }
+    return shapes, pairs, best, sorted(keys)
+
+
+def _mirror(result: ScanResult) -> ScanResult:
+    """The (H, W) slab's result from the (W, H) one: the transpose maps one
+    slab onto the other, so the counts are equal and the argmax keys transpose."""
+    shapes_n, pairs_n, best, arg = result
+    return shapes_n, pairs_n, best, sorted(
+        (h, w, _transpose_mask(mask, w, h), y, x) for w, h, mask, x, y in arg
+    )
 
 
 def _scan_task(args) -> ScanResult:
@@ -364,10 +427,13 @@ def compute_ck(
 ) -> CkResult:
     """Exact maximum of e_max over all (shape, node) pairs, with counts.
 
-    The shape space is partitioned into (W, H) slabs, each split into tasks
-    by its row-0 hole mask and scanned in a process pool when jobs > 1.  A
-    checkpoint file gets one record (k, slab, counts) per completed slab and
-    lets an interrupted k=7 run resume.
+    The shape space is partitioned into (W, H) slabs.  Only slabs with
+    W <= H are scanned, one shape per symmetry orbit (_scan_shapes); the
+    transpose gives the (H, W) slab's result.  Each scanned slab is split
+    into tasks by its row-0 hole mask and scanned in a process pool when
+    jobs > 1.  A checkpoint file gets one record (k, slab, counts) per
+    completed slab, both slabs of a mirrored pair included, and lets an
+    interrupted k=7 run resume; a pair missing either record is rescanned.
     """
     _check_budget(k, budget)
     if k < 2:
@@ -375,16 +441,21 @@ def compute_ck(
     done = _load_checkpoint(checkpoint, k) if checkpoint else {}
     tasks = [
         task
-        for slab in ((w, h) for w in range(1, k + 1) for h in range(1, k + 1))
-        if slab not in done
-        for task in _slab_tasks(*slab, k, jobs)
+        for w in range(1, k + 1)
+        for h in range(w, k + 1)
+        if (w, h) not in done or (h, w) not in done
+        for task in _slab_tasks(w, h, k, jobs)
     ]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         scanned = zip(tasks, (pool.map if pool else map)(_scan_task, tasks))
-        for slab, chunks in groupby(scanned, key=lambda tr: tr[0][:2]):
-            done[slab] = _merge(result for _, result in chunks)
-            if checkpoint:
-                _append_checkpoint(checkpoint, k, slab, done[slab])
+        for (w, h), chunks in groupby(scanned, key=lambda tr: tr[0][:2]):
+            result = _merge(r for _, r in chunks)
+            slabs = [((w, h), result)] + ([((h, w), _mirror(result))] if w < h else [])
+            for slab, slab_result in slabs:
+                if slab not in done:
+                    done[slab] = slab_result
+                    if checkpoint:
+                        _append_checkpoint(checkpoint, k, slab, slab_result)
 
     shape_count, pair_count, best, arg_keys = _merge(done.values())
     if best < 0 or best % 2:

@@ -71,13 +71,10 @@ def _ck_row(k: int) -> tuple[int, int, int, int]:
 
 def test_criterion_1_ck_table():
     ok = all(_ck_row(k) == REFERENCE_ROWS[k] for k in (2, 3, 4, 5, 6))
-    report(1, ok, "c_k rows k=2..6 reproduced exactly (k=7 optional, see README)")
+    report(1, ok, "c_k rows k=2..6 reproduced exactly (k=7 in the next test)")
 
 
-@pytest.mark.skipif(
-    not __import__("os").environ.get("FSSP_ACCEPT_K7"),
-    reason="k=7 row is optional; set FSSP_ACCEPT_K7=1 to run (about a minute)",
-)
+@pytest.mark.slow
 def test_criterion_1_optional_k7_row():
     r = compute_ck(7, budget=7)
     ok = (r.c_k, r.shape_count, r.pair_count, r.argmax_pair_count) == (5, 384344, 8397762, 20)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -82,6 +84,19 @@ class TestBadInput:
         assert captured.out == ""
         assert captured.err.startswith("error: IsADirectoryError:")
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text", ['{"size": 100000, "holes": []}', "w=100000\n...\n"], ids=["json", "ascii"]
+    )
+    def test_size_above_max_exit_2_at_once(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg"
+        path.write_text(text)
+        t0 = time.process_time()
+        assert main(["validate", str(path)]) == 2
+        assert time.process_time() - t0 < 0.2
+        assert json.loads(capsys.readouterr().out)["error"] == "SizeTooLarge"
+        assert main(["classify", str(path)]) == 2
+        assert "SizeTooLarge" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
@@ -179,3 +194,15 @@ class TestOtherCommands:
         code, out = run_cli(capsys, "repro-tables", "--ks", "2,3", "--json")
         rows = json.loads(out)["results"]["rows"]
         assert [r["match"] for r in rows] == [True, True]
+
+    def test_repro_tables_inputs_digest(self, capsys):
+        def digest(*ks_and_flags):
+            code, out = run_cli(capsys, "repro-tables", "--jobs", "1", "--json", *ks_and_flags)
+            assert code == 0
+            return json.loads(out)["inputs_digest"]
+
+        first = digest("--ks", "2,3")
+        want = hashlib.sha256(b'{"budget":null,"ks":[2,3]}').hexdigest()
+        assert first == digest("--ks", "2,3") == want
+        assert digest("--ks", "2,4") != first
+        assert digest("--ks", "2,3", "--budget-k", "6") != first

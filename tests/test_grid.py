@@ -6,10 +6,12 @@ from fssp_holes.errors import (
     BoundaryHoleError,
     DisconnectedError,
     NotANodeError,
+    SizeTooLargeError,
     SizeTooSmallError,
     TooManyHolesError,
 )
 from fssp_holes.grid import (
+    MAX_SIZE,
     Position,
     bfs_distance,
     boundary_condition,
@@ -52,6 +54,13 @@ class TestValidate:
     def test_size_below_one(self):
         with pytest.raises(SizeTooSmallError):
             validate(0, [])
+
+    def test_loaders_cap_the_size(self):
+        with pytest.raises(SizeTooLargeError):
+            load_json(f'{{"size": {MAX_SIZE + 1}, "holes": []}}')
+        with pytest.raises(SizeTooLargeError):
+            load_ascii(f"w={MAX_SIZE + 1}\n")
+        assert load_json('{"size": 64, "holes": []}').size == 64
 
 
 class TestDistances:

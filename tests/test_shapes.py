@@ -182,6 +182,18 @@ class TestCheckpoint:
         slabs = [(d["w"], d["h"]) for d in map(json.loads, path.read_text().splitlines())]
         assert sorted(slabs) == [(w, h) for w in range(1, 5) for h in range(1, 5)]
 
+    def test_half_of_a_mirrored_pair_is_rescanned(self, tmp_path):
+        # Records in (w, h) order, as files written before the (W, H) and
+        # (H, W) slabs were scanned together; cut after (2, 3), before (3, 2).
+        path = tmp_path / "ck.jsonl"
+        fresh = compute_ck(4, checkpoint=str(path))
+        records = sorted(map(json.loads, path.read_text().splitlines()), key=lambda d: (d["w"], d["h"]))
+        kept = records[: records.index(next(d for d in records if (d["w"], d["h"]) == (2, 3))) + 1]
+        path.write_text("".join(json.dumps(d) + "\n" for d in kept))
+        assert _row(compute_ck(4, checkpoint=str(path))) == _row(fresh)
+        resumed = sorted(map(json.loads, path.read_text().splitlines()), key=lambda d: (d["w"], d["h"]))
+        assert resumed == records  # (3, 2) written once, (2, 3) not again
+
     def test_fully_checkpointed_run_scans_nothing(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.jsonl")
         fresh = compute_ck(4, checkpoint=path)
