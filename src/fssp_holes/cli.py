@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 from . import barriers as bar
 from . import mft2, shapes, timebounds as tb
-from .errors import BudgetExceededError, FsspError
-from .grid import Position, load_config_file
+from .errors import BudgetExceededError, FsspError, ParseError, SizeTooLargeError
+from .grid import MAX_SIZE, Position, load_config_file
 from .sim.line import run_line_fssp
 from .sim.plan import plan_from_json, run_message_plan
 from .sim.sh1 import run_sh1
@@ -27,16 +27,12 @@ EXIT_INVALID = 2
 EXIT_NOT_FOUND = 3
 EXIT_BUDGET = 4
 
-DEFAULT_SEED = 20240 + 829  # fixed default; echoed into reports
-
-
 @dataclass
 class RunReport:
     """Reproducible record of one CLI invocation."""
 
     command: list[str]
     inputs_digest: str
-    seed: int
     results: dict
     elapsed_s: float = 0.0
 
@@ -56,6 +52,22 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _int_list(text: str, option: str, length: int | None = None) -> list[int]:
+    """Comma-separated integers of an option, or ParseError."""
+    try:
+        values = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{option} must be comma-separated integers, got {text!r}") from None
+    if length is not None and len(values) != length:
+        raise ParseError(f"{option} needs {length} integers, got {text!r}")
+    return values
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ParseError(f"--jobs must be >= 1, got {jobs}")
+
+
 def _cmd_validate(args) -> int:
     try:
         cfg = load_config_file(args.config)
@@ -68,6 +80,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.what == "line":
+        if args.n > MAX_SIZE:
+            raise SizeTooLargeError(f"line length {args.n} exceeds the maximum {MAX_SIZE}")
         ft = run_line_fssp(args.n)
         _emit({"n": args.n, "fire_time": ft})
         return EXIT_OK
@@ -147,6 +161,7 @@ def _cmd_barriers(args) -> int:
 
 
 def _cmd_ck(args) -> int:
+    _check_jobs(args.jobs)
     result = shapes.compute_ck(
         args.k, jobs=args.jobs, budget=args.budget_k, checkpoint=args.checkpoint
     )
@@ -235,17 +250,18 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    x, y = _int_list(args.v, "--v", length=2)
     cfg_a = load_config_file(args.config_a)
     cfg_b = load_config_file(args.config_b)
-    x, y = (int(s) for s in args.v.split(","))
     result = tb.equiv_prime(cfg_a, cfg_b, args.t, (x, y))
     _emit({"equiv_prime": result, "t": args.t, "v": [x, y]})
     return EXIT_OK
 
 
 def _cmd_repro_tables(args) -> int:
-    ks = [int(s) for s in args.ks.split(",")]
-    report = repro_tables(ks, jobs=args.jobs, budget=args.budget_k, seed=args.seed)
+    ks = _int_list(args.ks, "--ks")
+    _check_jobs(args.jobs)
+    report = repro_tables(ks, jobs=args.jobs, budget=args.budget_k)
     if args.json:
         print(report.to_json())
     else:
@@ -258,7 +274,7 @@ def _cmd_repro_tables(args) -> int:
     return EXIT_OK
 
 
-def repro_tables(ks, jobs: int = 1, budget: int | None = None, seed: int = DEFAULT_SEED) -> RunReport:
+def repro_tables(ks, jobs: int = 1, budget: int | None = None) -> RunReport:
     """Recompute the c_k table rows and compare with the reference values."""
     t0 = time.time()
     rows = []
@@ -280,7 +296,6 @@ def repro_tables(ks, jobs: int = 1, budget: int | None = None, seed: int = DEFAU
     return RunReport(
         command=["repro-tables", *map(str, ks)],
         inputs_digest=inputs_digest({"ks": list(ks), "budget": budget}),
-        seed=seed,
         results={"rows": rows},
         elapsed_s=round(time.time() - t0, 3),
     )
@@ -291,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fssp-holes",
         description="Synchronizers and minimum-firing-time tools for squares with holes.",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed echoed into reports")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("validate", help="validate a configuration file")
@@ -301,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a synchronizer")
     ss = p.add_subparsers(dest="what", required=True)
     pl = ss.add_parser("line")
-    pl.add_argument("--n", type=int, required=True)
+    pl.add_argument("--n", type=int, required=True, help=f"line length, 1..{MAX_SIZE}")
     pl.set_defaults(fn=_cmd_simulate)
     ps = ss.add_parser("sh1")
     ps.add_argument("config")

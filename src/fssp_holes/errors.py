@@ -67,7 +67,7 @@ class SizeTooSmallError(FsspError, ValueError):
 
 
 class SizeTooLargeError(FsspError, ValueError):
-    """A configuration file asks for a square above grid.MAX_SIZE."""
+    """An input asks for a square side or line length above grid.MAX_SIZE."""
 
     code = "SizeTooLarge"
 

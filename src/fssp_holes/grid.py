@@ -215,16 +215,6 @@ class Pattern:
 
     assignments: frozenset[tuple[Position, str]] = field(default_factory=frozenset)
 
-    @classmethod
-    def from_dict(cls, mapping: dict[tuple[int, int], str]) -> "Pattern":
-        items = frozenset((Position(*p), label) for p, label in mapping.items())
-        if len({p for p, _ in items}) != len(items):
-            raise ValueError("pattern assigns two labels to one position")
-        return cls(items)
-
-    def as_dict(self) -> dict[Position, str]:
-        return dict(self.assignments)
-
     @property
     def domain(self) -> frozenset[Position]:
         return frozenset(p for p, _ in self.assignments)
@@ -338,6 +328,8 @@ def load_json(text: str) -> Configuration:
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed configuration JSON: {exc}") from exc
     _check_max_size(size)
+    if len(set(holes)) != len(holes):
+        raise ParseError("configuration JSON lists a hole more than once")
     return validate(size, holes)
 
 
@@ -352,7 +344,10 @@ def dump_ascii(cfg: Configuration) -> str:
 
 
 def load_ascii(text: str) -> Configuration:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # Blank lines may surround the grid, but not split it.
+    lines = text.splitlines()
+    filled = [i for i, ln in enumerate(lines) if ln.strip()]
+    lines = lines[filled[0]:filled[-1] + 1] if filled else []
     if not lines or not lines[0].startswith("w=") or not lines[0][2:].strip().isdecimal():
         raise ParseError("ASCII configuration must start with a 'w=<size>' line")
     w = int(lines[0][2:])

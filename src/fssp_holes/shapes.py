@@ -66,7 +66,8 @@ def _check_budget(k: int, budget: int | None) -> None:
     if k > cap:
         raise BudgetExceededError(
             f"k={k} exceeds the configured cap {cap}"
-            + (" (hard ceiling 7)" if k > HARD_MAX_K else "; raise with --budget-k/FSSP_BUDGET_K")
+            + (f" (hard ceiling {HARD_MAX_K})" if k > HARD_MAX_K
+               else "; raise with --budget-k/FSSP_BUDGET_K")
         )
     if k < 1:
         raise BudgetExceededError(f"k must be >= 1, got {k}")

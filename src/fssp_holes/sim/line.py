@@ -18,16 +18,22 @@ All cells fire simultaneously at start_time + 2n - 2.  A singleton line
 fires at its activation instant (2*1 - 2 = 0 steps later).
 
 The engine is event-driven but synchronous: every state change at t+1 is
-caused by a token or general event in the cell's own neighborhood at t,
-which is also what the quiescence check asserts.
+caused by a signal that was alive at t in the changed cell or a neighbor.
+Every run checks this for each change, against the cell its cause held at t:
+a moving signal's cell before the move, or the cell the fast signal that
+makes a new general came from (the general's own cell for the double one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..errors import SizeTooSmallError
 
 
-@dataclass
+# eq=False: buckets find and remove a signal by identity, and two sibling
+# slows can hold equal fields.
+@dataclass(eq=False)
 class _Fast:
     cell: int
     dir: int
@@ -35,49 +41,45 @@ class _Fast:
     alive: bool = True
 
 
-@dataclass
+@dataclass(eq=False)
 class _Slow:
     cell: int  # current cell (origin general until first move)
     dir: int
     level: int
-    birth: int
     moves: int = 0
-    next_move: int = 0
     alive: bool = True
-    visible: bool = False
 
 
 @dataclass
 class LineRun:
     """Outcome of one line synchronization."""
 
-    n: int
-    start_time: int
     births: list[int]
     fire_times: list[int]
 
-    @property
-    def fire_time(self) -> int:
-        return self.fire_times[0]
+
+def _check_caused(cell: int, cause: int) -> None:
+    """Raise unless a change at cell at t+1 had its cause within one cell at t."""
+    if not -1 <= cell - cause <= 1:
+        raise AssertionError(
+            f"state change at cell {cell} caused from cell {cause}, outside its neighborhood"
+        )
 
 
 class LineSynchronizer:
     """Event-driven run of the divide-to-halves line automaton."""
 
-    def __init__(self, n: int, start_time: int = 0, quiescence_check: bool = True):
+    def __init__(self, n: int, start_time: int = 0):
         if n < 1:
-            raise ValueError(f"line length must be >= 1, got {n}")
+            raise SizeTooSmallError(f"line length must be >= 1, got {n}")
         self.n = n
         self.t0 = start_time
         self.horizon = start_time + 2 * n + 4
         self.births: list[int | None] = [None] * n
         self.fasts: list[_Fast] = []
-        self.slows: list[_Slow] = []
         self.slow_at: dict[int, list[_Slow]] = {}
         self.move_schedule: dict[int, list[_Slow]] = {}
         self.gen_count = 0
-        self.quiescence_check = quiescence_check
-        self._active_now: set[int] = set()
 
     # -- emissions ---------------------------------------------------------
 
@@ -101,32 +103,17 @@ class LineSynchronizer:
                 for off in (0, 1):
                     first = t + off + dwell
                     if first <= self.horizon:
-                        self.slows.append(
-                            _Slow(cell, e, level, t + off, 0, first)
-                        )
-                        self.move_schedule.setdefault(first, []).append(self.slows[-1])
+                        self.move_schedule.setdefault(first, []).append(_Slow(cell, e, level))
                 level += 1
 
     # -- stepping ----------------------------------------------------------
-
-    def _assert_caused(self, cell: int) -> None:
-        # Quiescence: a change at cell must have a non-quiescent neighborhood
-        # one step earlier (a token or general at the cell or a neighbor).
-        if not self.quiescence_check:
-            return
-        nbhd = {cell - 1, cell, cell + 1}
-        if not nbhd & self._active_now:
-            raise AssertionError(
-                f"state change at cell {cell} without activity in its neighborhood"
-            )
 
     def run(self) -> LineRun:
         if self.n == 1:
             # A lone general has nothing to synchronize with: 2n-2 = 0.
             self.births[0] = self.t0
-            return LineRun(1, self.t0, [self.t0], [self.t0])
+            return LineRun([self.t0], [self.t0])
 
-        self._active_now = {0}
         self._make_general(0, self.t0)
         t = self.t0
         while self.gen_count < self.n:
@@ -141,26 +128,18 @@ class LineSynchronizer:
             1 + max(births[j] for j in (i - 1, i, i + 1) if 0 <= j < self.n)
             for i in range(self.n)
         ]
-        return LineRun(self.n, self.t0, births, fires)
+        return LineRun(births, fires)
 
     def _step(self, t: int) -> None:
-        # Activity snapshot at time t, for the quiescence check.
-        if self.quiescence_check:
-            act: set[int] = set()
-            act.update(i for i, b in enumerate(self.births) if b is not None)
-            act.update(f.cell for f in self.fasts if f.alive)
-            act.update(s.cell for s in self.slows if s.alive and s.visible)
-            self._active_now = act
-
         arrived_f: dict[int, list[_Fast]] = {}
-        new_gens: list[int] = []
+        new_gens: list[tuple[int, int]] = []  # (cell, cell of its cause at t)
 
         # Slow signals due to move at t+1.
         for s in self.move_schedule.pop(t + 1, []):
             if not s.alive:
                 continue
             target = s.cell + s.dir
-            if s.visible:
+            if s.moves:  # only a slow that has moved sits in a bucket
                 bucket = self.slow_at.get(s.cell)
                 if bucket is not None and s in bucket:
                     bucket.remove(s)
@@ -170,13 +149,11 @@ class LineSynchronizer:
             if self.births[target] is not None:
                 s.alive = False  # absorbed by a general
                 continue
-            self._assert_caused(target)
+            _check_caused(target, s.cell)
             s.cell = target
             s.moves += 1
-            s.visible = True
-            s.next_move = s.next_move + ((1 << s.level) - 1)
             self.slow_at.setdefault(target, []).append(s)
-            self.move_schedule.setdefault(s.next_move, []).append(s)
+            self.move_schedule.setdefault(t + (1 << s.level), []).append(s)
 
         # Fast signals move one cell.
         for f in self.fasts:
@@ -189,7 +166,7 @@ class LineSynchronizer:
             if self.births[target] is not None:
                 f.alive = False  # absorbed by an established general
                 continue
-            self._assert_caused(target)
+            _check_caused(target, f.cell)
             f.cell = target
             arrived_f.setdefault(target, []).append(f)
 
@@ -198,10 +175,11 @@ class LineSynchronizer:
             for f in fs:
                 if not f.alive:
                     continue
+                prev = target - f.dir
                 beyond = target + f.dir
                 if beyond < 0 or beyond >= self.n:
                     # Closed end: the arrival cell becomes a general.
-                    new_gens.append(target)
+                    new_gens.append((target, prev))
                     f.alive = False
                     continue
                 opposing = [
@@ -213,32 +191,28 @@ class LineSynchronizer:
                         raise AssertionError(
                             f"co-located oncoming slows with mixed parity at {target}"
                         )
-                    new_gens.append(target)
+                    new_gens.append((target, prev))
                     parity = ((t + 1 - f.birth) + parities.pop()) % 2
                     if parity:
-                        prev = target - f.dir
-                        if 0 <= prev < self.n:
-                            new_gens.append(prev)
+                        new_gens.append((prev, prev))
                     for s in opposing:
                         s.alive = False
                         self.slow_at[target].remove(s)
                     f.alive = False
 
-        for cell in new_gens:
-            self._assert_caused(cell)
+        for cell, cause in new_gens:
+            _check_caused(cell, cause)
             self._make_general(cell, t + 1)
 
         self.fasts = [f for f in self.fasts if f.alive]
-        if len(self.slows) > 64 * self.n + 64:
-            self.slows = [s for s in self.slows if s.alive]
 
 
-def run_line_fssp(n: int, quiescence_check: bool = True) -> int:
+def run_line_fssp(n: int) -> int:
     """Firing time of the n-cell line started at 0: exactly 2n - 2.
 
     Raises if the cells do not fire simultaneously.
     """
-    run = LineSynchronizer(n, 0, quiescence_check).run()
+    run = LineSynchronizer(n).run()
     times = set(run.fire_times)
     if len(times) != 1:
         raise AssertionError(f"non-simultaneous firing for n={n}: {sorted(times)}")

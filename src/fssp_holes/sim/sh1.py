@@ -121,7 +121,7 @@ def _line_segment(cfg: Configuration, start: Position, step: Position) -> list[P
     return cells
 
 
-def run_sh1(cfg: Configuration, quiescence_check: bool = False) -> FiringTranscript:
+def run_sh1(cfg: Configuration) -> FiringTranscript:
     """Simulate the square synchronizer; all nodes fire at exactly 2w.
 
     Accepts configurations with zero or one hole and w >= 2.  The transcript
@@ -138,17 +138,13 @@ def run_sh1(cfg: Configuration, quiescence_check: bool = False) -> FiringTranscr
     sweep = _sweep_layer(cfg)
 
     line_fire: dict[Position, int] = {}
-    activations: list[tuple[Position, int, int]] = []
     for d_cell, t_arr in diag.items():
         for step in (Position(1, 0), Position(0, 1)):
             general = d_cell + step
             if general[0] > w or general[1] > w or not cfg.is_node(general):
                 continue
             cells = _line_segment(cfg, general, step)
-            run = LineSynchronizer(
-                len(cells), t_arr + 1, quiescence_check=quiescence_check
-            ).run()
-            activations.append((general, t_arr + 1, len(cells)))
+            run = LineSynchronizer(len(cells), t_arr + 1).run()
             for cell, ft in zip(cells, run.fire_times):
                 line_fire[cell] = ft
 
@@ -178,6 +174,5 @@ def run_sh1(cfg: Configuration, quiescence_check: bool = False) -> FiringTranscr
             "line_fire": line_fire,
             "pre_fire": pre_fire,
             "corner_patch": corner_patch,
-            "activations": activations,
         },
     )

@@ -27,6 +27,3 @@ class FiringTranscript:
         if None in times or len(times) != 1:
             raise AssertionError(f"non-simultaneous transcript: {sorted(map(str, times))}")
         return times.pop()
-
-    def fired(self) -> bool:
-        return self.common_fire_time() is not None

@@ -58,9 +58,24 @@ class TestBadInput:
             (["validate"], "w=\u00b2\n...\n...\n...\n", None, "ParseError"),
             (["validate"], '{"size": ' + "[" * 100_000, None, "ParseError"),
             (["ck", "--k", "3", "--jobs", "1"], None, "3.5", "ParseError"),
+            (["validate"], '{"size": 3, "holes": [[1, 1], [1, 1]]}', None, "ParseError"),
+            (["validate"], "w=2\n...\n\n.#.\n\n...\n", None, "ParseError"),
+            (["simulate", "line", "--n", "0"], None, None, "SizeTooSmall"),
+            (["simulate", "line", "--n", "-3"], None, None, "SizeTooSmall"),
+            (["simulate", "line", "--n", "100000"], None, None, "SizeTooLarge"),
+            (["ck", "--k", "3", "--jobs", "0"], None, None, "ParseError"),
+            (["ck", "--k", "3", "--jobs", "-1"], None, None, "ParseError"),
+            (["repro-tables", "--ks", "2", "--jobs", "0"], None, None, "ParseError"),
+            (["repro-tables", "--ks", "2,x"], None, None, "ParseError"),
+            # The --v value is checked before either file is opened.
+            (["equiv", "a.json", "b.json", "--t", "3", "--v", "a,b"], None, None, "ParseError"),
+            (["equiv", "a.json", "b.json", "--t", "3", "--v", "1,2,3"], None, None, "ParseError"),
         ],
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
-             "extra-row", "not-utf8", "superscript-size", "deep-json", "budget-env"],
+             "extra-row", "not-utf8", "superscript-size", "deep-json", "budget-env",
+             "repeated-hole", "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
+             "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "repro-ks", "equiv-v-text",
+             "equiv-v-three"],
     )
     def test_exit_2_with_code(self, tmp_path, monkeypatch, capsys, argv, text, env, code):
         if text is not None:

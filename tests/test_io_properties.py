@@ -65,8 +65,8 @@ def malformed_files(draw):
     """Bytes of a valid JSON or ASCII file after one breaking mutation."""
     cfg = draw(configurations())
     kind = draw(st.sampled_from(
-        ["json-truncate", "json-key", "json-junk", "ascii-row", "ascii-char", "ascii-header",
-         "not-utf8"]
+        ["json-truncate", "json-key", "json-junk", "json-repeat", "ascii-row", "ascii-char",
+         "ascii-header", "ascii-blank", "not-utf8"]
     ))
     if kind.startswith("json"):
         text = dump_json(cfg)
@@ -75,6 +75,11 @@ def malformed_files(draw):
             text = text[: draw(st.integers(1, len(text) - 1))]
         elif kind == "json-key":
             text = text.replace('"size"', '"' + draw(NO_DIGITS).replace('"', "") + 'x"')
+        elif kind == "json-repeat":
+            doc = json.loads(text)
+            hole = draw(st.sampled_from(doc["holes"] or [[1, 1]]))
+            doc["holes"] += [hole, hole]
+            text = json.dumps(doc)
         else:
             text = text[:-1] + "," + draw(NO_DIGITS) + "}"
         return text.encode("utf-8")
@@ -93,6 +98,9 @@ def malformed_files(draw):
         lines[y] = lines[y][:x] + junk + lines[y][x + 1:]
     elif kind == "ascii-header":
         lines[0] = draw(st.sampled_from(["", "w", "w:", "size="])) + draw(NO_DIGITS)
+    elif kind == "ascii-blank":
+        # A blank line between two rows of the grid.
+        lines.insert(draw(st.integers(2, len(lines) - 1)), draw(st.sampled_from(["", " ", "\t"])))
     else:
         return dump_ascii(cfg).encode("utf-8") + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"]))
     return ("\n".join(lines) + "\n").encode("utf-8")

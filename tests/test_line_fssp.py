@@ -1,5 +1,14 @@
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fssp_holes
+from fssp_holes.errors import SizeTooSmallError
+from fssp_holes.sim import line
 from fssp_holes.sim.line import LineSynchronizer, run_line_fssp
 
 
@@ -35,9 +44,58 @@ class TestStructure:
         assert len(set(run.fire_times)) == 1
         assert max(run.births) == run.fire_times[0] - 1
 
-    def test_quiescence_check_enabled_by_default(self):
-        # the engine asserts local causality on every change; a full run
+    def test_causality_checked_on_every_run(self):
+        # the engine checks local causality on every change; a full run
         # exercising it is the check
-        sync = LineSynchronizer(23, quiescence_check=True)
-        run = sync.run()
+        run = LineSynchronizer(23).run()
         assert set(run.fire_times) == {2 * 23 - 2}
+
+    @pytest.mark.parametrize(
+        "start, digest",
+        [
+            (0, "07634eecca22d2bcc4d2808ffb00e2a4c663cc9782aa2ea06c0f275e94b6c508"),
+            (5, "7320f0ba604a546a59e7a05c66de3e6a42eb227b5d42840c04cc9fcafb6c2553"),
+        ],
+    )
+    def test_birth_schedule_pinned(self, start, digest):
+        # every general's birth time for n = 1..128, not only the firing time
+        births = [LineSynchronizer(n, start).run().births for n in range(1, 129)]
+        assert hashlib.sha256(json.dumps(births).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_line(self, n):
+        with pytest.raises(SizeTooSmallError):
+            LineSynchronizer(n)
+
+
+class TestCausalityCheck:
+    @pytest.mark.parametrize("name", ["_Fast", "_Slow"])
+    def test_nonlocal_move_raises(self, monkeypatch, name):
+        # every signal of this kind jumps two cells per move
+        real = getattr(line, name)
+        monkeypatch.setattr(line, name, lambda cell, dir, *rest: real(cell, 2 * dir, *rest))
+        with pytest.raises(AssertionError, match="outside its neighborhood"):
+            LineSynchronizer(10).run()
+
+    def test_nonlocal_general_raises(self):
+        with pytest.raises(AssertionError, match="outside its neighborhood"):
+            line._check_caused(5, 3)
+        line._check_caused(5, 4)
+
+    def test_raises_under_optimize(self):
+        code = (
+            "from fssp_holes.sim import line\n"
+            "real = line._Fast\n"
+            "line._Fast = lambda cell, dir, birth: real(cell, 2 * dir, birth)\n"
+            "try:\n"
+            "    line.LineSynchronizer(10).run()\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(fssp_holes.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised:") and "outside its neighborhood" in proc.stdout

@@ -65,6 +65,6 @@ class TestDiagnostics:
                 else:
                     assert has_nbr, (w, holes, v)
 
-    def test_quiescence_checked_run(self):
-        tr = run_sh1(validate(8, [(3, 3)]), quiescence_check=True)
+    def test_causality_checked_run(self):
+        tr = run_sh1(validate(8, [(3, 3)]))
         assert tr.common_fire_time() == 16
