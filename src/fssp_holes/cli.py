@@ -2,7 +2,7 @@
 
 Subcommands: validate, simulate (line | sh1 | plan), barriers, ck, tvc,
 classify, certify, equiv, repro-tables.  Exit codes: 0 success, 2 invalid
-input, 3 not-found results, 4 budget exceeded.
+input, 3 not-found results, 4 k above shapes.HARD_MAX_K.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def _cmd_simulate(args) -> int:
             _print_sh1_trace(cfg, transcript)
         _emit({"size": cfg.size, "fire_time": transcript.common_fire_time()})
         return EXIT_OK
-    with open(args.plan, "r", encoding="utf-8") as fh:
+    with open(args.plan, "rb") as fh:
         plan = plan_from_json(fh.read())
     transcript = run_message_plan(cfg, plan)
     ft = transcript.common_fire_time()
@@ -162,9 +162,7 @@ def _cmd_barriers(args) -> int:
 
 def _cmd_ck(args) -> int:
     _check_jobs(args.jobs)
-    result = shapes.compute_ck(
-        args.k, jobs=args.jobs, budget=args.budget_k, checkpoint=args.checkpoint
-    )
+    result = shapes.compute_ck(args.k, jobs=args.jobs, checkpoint=args.checkpoint)
     payload = {
         "k": result.k,
         "c_k": result.c_k,
@@ -229,7 +227,7 @@ def _cmd_classify(args) -> int:
             payload["chain_verified"] = tb.verify_certificate(verdict.chain)
         if verdict.plan is not None:
             payload["plan_checks_ok"] = verdict.check.ok
-            payload["plan_fires"] = run_message_plan(cfg, verdict.plan).common_fire_time()
+            payload["plan_fires"] = verdict.plan.deadline if verdict.check.c5_ok else None
     _emit(payload)
     return EXIT_OK
 
@@ -261,7 +259,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_repro_tables(args) -> int:
     ks = _int_list(args.ks, "--ks")
     _check_jobs(args.jobs)
-    report = repro_tables(ks, jobs=args.jobs, budget=args.budget_k)
+    report = repro_tables(ks, jobs=args.jobs)
     if args.json:
         print(report.to_json())
     else:
@@ -274,12 +272,12 @@ def _cmd_repro_tables(args) -> int:
     return EXIT_OK
 
 
-def repro_tables(ks, jobs: int = 1, budget: int | None = None) -> RunReport:
+def repro_tables(ks, jobs: int = 1) -> RunReport:
     """Recompute the c_k table rows and compare with the reference values."""
     t0 = time.time()
     rows = []
     for k in ks:
-        result = shapes.compute_ck(k, jobs=jobs, budget=budget)
+        result = shapes.compute_ck(k, jobs=jobs)
         ref = shapes.REFERENCE_CK_TABLE.get(k)
         computed = (result.c_k, result.shape_count, result.pair_count, result.argmax_pair_count)
         rows.append(
@@ -295,7 +293,7 @@ def repro_tables(ks, jobs: int = 1, budget: int | None = None) -> RunReport:
         )
     return RunReport(
         command=["repro-tables", *map(str, ks)],
-        inputs_digest=inputs_digest({"ks": list(ks), "budget": budget}),
+        inputs_digest=inputs_digest({"ks": list(ks)}),
         results={"rows": rows},
         elapsed_s=round(time.time() - t0, 3),
     )
@@ -336,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--list-argmax", action="store_true")
-    p.add_argument("--budget-k", type=int, default=None)
     p.add_argument("--checkpoint", default=None, help="resumable per-slab results file")
     p.set_defaults(fn=_cmd_ck)
 
@@ -364,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repro-tables", help="recompute the c_k table rows")
     p.add_argument("--ks", required=True, help="comma-separated k values")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--budget-k", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_repro_tables)
 

@@ -35,7 +35,7 @@ class DisconnectedError(ValidationError):
 
 
 class ParseError(FsspError, ValueError):
-    """Unreadable input: a configuration, plan or checkpoint file, or a setting."""
+    """Unreadable input: a configuration, plan or checkpoint file, or a CLI argument."""
 
     code = "ParseError"
 

@@ -56,7 +56,7 @@ class Configuration:
     """A square of side w with an immutable set of interior holes.
 
     Instances are only built through :func:`validate`, which enforces the
-    three invariants (boundary hole-free, hole budget, connectedness).
+    three invariants (boundary hole-free, at most (w-1)^2 holes, connectedness).
     """
 
     size: int
@@ -109,7 +109,7 @@ def validate(size: int, holes: Iterable[tuple[int, int]]) -> Configuration:
     hs = frozenset(Position(*h) for h in holes)
     if len(hs) > (size - 1) ** 2:
         raise TooManyHolesError(
-            f"{len(hs)} holes exceed the (w-1)^2 = {(size - 1) ** 2} budget for w={size}",
+            f"{len(hs)} holes exceed the (w-1)^2 = {(size - 1) ** 2} maximum for w={size}",
             witness=None,
         )
     for h in sorted(hs):

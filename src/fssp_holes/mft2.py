@@ -40,12 +40,10 @@ from .timebounds import (
 
 @dataclass(frozen=True)
 class HoleTypeProfile:
-    """Region counts of the two holes plus the refinements the cases use."""
+    """Region counts of the two holes, all and critical only."""
 
     counts: tuple[int, int, int, int]  # (#U, #V, #W, #X)
     critical_in: tuple[int, int, int, int]
-    hole_at_v_cnt: bool
-    hole_at_w_corner: bool  # v_cnt + (1, 1)
 
     @property
     def in_uvw(self) -> int:
@@ -59,12 +57,7 @@ def type_of(cfg: Configuration) -> HoleTypeProfile:
     sets = (fam.U, fam.V, fam.W, fam.X)
     counts = tuple(sum(1 for h in cfg.holes if h in s) for s in sets)
     crit = tuple(sum(1 for h in cfg.holes if h in s and is_critical(h)) for s in sets)
-    return HoleTypeProfile(
-        counts,  # type: ignore[arg-type]
-        crit,  # type: ignore[arg-type]
-        fam.v_cnt in cfg.holes,
-        fam.v_cnt + (1, 1) in cfg.holes,
-    )
+    return HoleTypeProfile(counts, crit)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)

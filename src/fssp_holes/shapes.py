@@ -27,11 +27,12 @@ from .errors import (
     CheckpointMismatchError,
     ParseError,
     UnreachableError,
+    WrongHoleCountError,
 )
 from .grid import Position, _bfs
 
+#: The largest k that enumerate_shapes and compute_ck accept.
 HARD_MAX_K = 7
-DEFAULT_BUDGET_K = 6
 
 #: Reference values (k -> (c_k, shapes, pairs, argmax pairs)) that the
 #: enumeration reproduces.  Rows 8 and 9 are beyond desk-scale compute and
@@ -48,29 +49,12 @@ REFERENCE_CK_TABLE: dict[int, tuple[int, int, int, int]] = {
 }
 
 
-def effective_budget(budget: int | None = None) -> int:
-    """The configured k cap: explicit argument, FSSP_BUDGET_K, or the default."""
-    if budget is not None:
-        return min(budget, HARD_MAX_K)
-    env = os.environ.get("FSSP_BUDGET_K")
-    if env is not None:
-        try:
-            return min(int(env), HARD_MAX_K)
-        except ValueError:
-            raise ParseError(f"FSSP_BUDGET_K must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET_K
-
-
-def _check_budget(k: int, budget: int | None) -> None:
-    cap = effective_budget(budget)
-    if k > cap:
-        raise BudgetExceededError(
-            f"k={k} exceeds the configured cap {cap}"
-            + (f" (hard ceiling {HARD_MAX_K})" if k > HARD_MAX_K
-               else "; raise with --budget-k/FSSP_BUDGET_K")
-        )
-    if k < 1:
-        raise BudgetExceededError(f"k must be >= 1, got {k}")
+def _check_k(k: int, least: int) -> None:
+    """BudgetExceededError above HARD_MAX_K, WrongHoleCountError below least."""
+    if k > HARD_MAX_K:
+        raise BudgetExceededError(f"k={k} exceeds the ceiling HARD_MAX_K={HARD_MAX_K}")
+    if k < least:
+        raise WrongHoleCountError(f"k must be >= {least}, got {k}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,7 @@ class ShapeEval:
 def _iter_hole_masks(width: int, height: int, k: int, first_masks=None) -> Iterator[tuple[int, ...]]:
     """Row masks (one int per row) of covering hole sets with <= k holes.
 
-    Depth-first over rows; prunes on the hole budget and on column coverage
+    Depth-first over rows; prunes on the holes left and on column coverage
     (each remaining hole can cover at most one new column).  The last row
     takes only masks holding every column not yet covered.
     """
@@ -132,8 +116,8 @@ def _iter_hole_masks(width: int, height: int, k: int, first_masks=None) -> Itera
 
     rows: list[int] = []
 
-    def rec(row: int, budget: int, covered: int) -> Iterator[tuple[int, ...]]:
-        max_count = min(width, budget - (height - row - 1))
+    def rec(row: int, left: int, covered: int) -> Iterator[tuple[int, ...]]:
+        max_count = min(width, left - (height - row - 1))
         last = row == height - 1
         need = full & ~covered if last else 0
         choices: Iterable[int]
@@ -149,10 +133,10 @@ def _iter_hole_masks(width: int, height: int, k: int, first_masks=None) -> Itera
         for m in choices:
             c = ones[m]
             new_cov = covered | m
-            if width - ones[new_cov] > budget - c:
+            if width - ones[new_cov] > left - c:
                 continue
             rows.append(m)
-            yield from rec(row + 1, budget - c, new_cov)
+            yield from rec(row + 1, left - c, new_cov)
             rows.pop()
 
     yield from rec(0, k, 0)
@@ -185,13 +169,13 @@ def _all_nodes_reach_ring(nw: list[int], n_holes: int) -> bool:
     return nw.count(-1) == n_holes
 
 
-def enumerate_shapes(k: int, budget: int | None = None) -> Iterator[BarrierShape]:
+def enumerate_shapes(k: int) -> Iterator[BarrierShape]:
     """Every barrier shape with at most k holes, each exactly once.
 
     Raw grids: transposes and reflections are distinct shapes.  Shapes whose
     nodes cannot all reach the surrounding hole-free ring are excluded.
     """
-    _check_budget(k, budget)
+    _check_k(k, 1)
     for width in range(1, k + 1):
         for height in range(1, k + 1):
             for row_masks in _iter_hole_masks(width, height, k):
@@ -423,9 +407,7 @@ def _append_checkpoint(path: str, k: int, slab: tuple[int, int], result: ScanRes
         fh.write(json.dumps(record) + "\n")
 
 
-def compute_ck(
-    k: int, jobs: int = 1, budget: int | None = None, checkpoint: str | None = None
-) -> CkResult:
+def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult:
     """Exact maximum of e_max over all (shape, node) pairs, with counts.
 
     The shape space is partitioned into (W, H) slabs.  Only slabs with
@@ -436,9 +418,7 @@ def compute_ck(
     completed slab, both slabs of a mirrored pair included, and lets an
     interrupted k=7 run resume; a pair missing either record is rescanned.
     """
-    _check_budget(k, budget)
-    if k < 2:
-        raise BudgetExceededError("c_k is defined for k >= 2 (smaller k admit no node pairs)")
+    _check_k(k, 2)  # smaller k admit no node pairs
     done = _load_checkpoint(checkpoint, k) if checkpoint else {}
     tasks = [
         task
@@ -483,10 +463,10 @@ def h_threshold(k: int) -> int:
     return -(-(k * k + 7 * k + 5) // 2)  # ceil((k^2+7k+5)/2)
 
 
-def h_kw(k: int, w: int, jobs: int = 1, budget: int | None = None) -> int | None:
+def h_kw(k: int, w: int, jobs: int = 1) -> int | None:
     """2w + c_k when w is above the exactness threshold, else None (unknown)."""
     if k < 2:
         raise ValueError(f"h_kw needs k >= 2, got {k}")
     if 2 * w < k * k + 7 * k + 5:
         return None
-    return 2 * w + compute_ck(k, jobs=jobs, budget=budget).c_k
+    return 2 * w + compute_ck(k, jobs=jobs).c_k

@@ -15,9 +15,15 @@ nodes are willing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
-from ..errors import OutOfSquareError, ParseError, ValidationError
+from ..errors import (
+    OutOfSquareError,
+    ParseError,
+    PreconditionViolatedError,
+    ValidationError,
+)
 from ..grid import (
     V_GEN,
     Configuration,
@@ -26,10 +32,9 @@ from ..grid import (
     distance_grid,
     has_pattern,
     mh_distance,
-    pattern_of,
     validate,
 )
-from ..timebounds import is_critical, max_t
+from ..timebounds import is_critical
 from .transcript import FiringTranscript
 
 
@@ -63,6 +68,12 @@ class MessagePlan:
         return 2 * self.target_size + self.slack
 
 
+def _arrivals(cfg: Configuration, site: Position, off: int) -> list[float]:
+    """Arrival time, per node index, of the message born at site with offset off."""
+    birth = mh_distance(V_GEN, site) + off
+    return [birth + d if d >= 0 else math.inf for d in distance_grid(cfg, site)]
+
+
 def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
     """Simulate the plan on cfg: simultaneous firing at the deadline or none.
 
@@ -70,42 +81,26 @@ def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
     plan that reaches only part of the square is visible as such.
     """
     deadline = plan.deadline
-    willing: dict[Position, bool] = {}
     nodes = list(cfg.nodes())
-
     size_ok = cfg.size == plan.target_size
-    if size_ok:
-        w = cfg.size
-        d_nw = distance_grid(cfg, Position(0, w))
-        d_se = distance_grid(cfg, Position(w, 0))
     msgs_exist = size_ok and has_pattern(cfg, plan.pattern)
-    group_arrivals: list[list[tuple[int, tuple[int, ...]]]] = []
-    site_fields = []
     if msgs_exist:
-        for group in plan.groups:
-            fields = []
-            for site, off in group:
-                birth = mh_distance(V_GEN, site) + off
-                fields.append((birth, distance_grid(cfg, site)))
-            site_fields.append(fields)
-
-    for v in nodes:
-        if not msgs_exist:
-            willing[v] = False
-            continue
-        i = cfg.index(v)
-        w_arrival = cfg.size + min(d_nw[i], d_se[i])
-        if w_arrival > deadline:
-            willing[v] = False
-            continue
-        if not plan.groups:
-            willing[v] = True  # size-check-only firing rule
-            continue
-        ok = any(
-            all(birth + dist[i] <= deadline and dist[i] >= 0 for birth, dist in fields)
-            for fields in site_fields
-        )
-        willing[v] = ok
+        w = cfg.size
+        # ready[i]: when node i holds a size-check message and, if the plan
+        # has groups, every message of its earliest complete group.
+        ready = [
+            w + min(a, b)
+            for a, b in zip(distance_grid(cfg, Position(0, w)), distance_grid(cfg, Position(w, 0)))
+        ]
+        if plan.groups:
+            groups = [
+                [max(t) for t in zip(*(_arrivals(cfg, site, off) for site, off in group))]
+                for group in plan.groups
+            ]
+            ready = [max(r, min(g)) for r, *g in zip(ready, *groups)]
+        willing = {v: ready[cfg.index(v)] <= deadline for v in nodes}
+    else:
+        willing = dict.fromkeys(nodes, False)
 
     all_fire = all(willing.values())
     fire = {v: (deadline if all_fire else None) for v in nodes}
@@ -126,10 +121,11 @@ class PlanCheckReport:
     """Computational verification of the plan-correctness conditions.
 
     c1: every same-size completion of the pattern keeps the through-corner
-        bound within the deadline (for two holes and zero slack, no
-        completion has a critical pair, tested directly on the free cells);
-    c5: every node of the reference configuration is reached by a full
-        message group within the deadline.
+        bound within the deadline: no two-hole completion has a critical
+        pair, tested directly on the pinned holes and the free cells;
+    c5: run_message_plan fires the reference configuration at the deadline,
+        so every node holds a size-check message and a full message group
+        in time.
 
     c2 (each group's messages jointly pin exactly the plan pattern) holds
     by construction, since all message groups share the plan pattern; c3/c4
@@ -218,44 +214,34 @@ def _critical_pair_completion(plan: MessagePlan) -> frozenset[Position] | None:
 
 
 def check_c_conditions(plan: MessagePlan, cfg: Configuration) -> PlanCheckReport:
-    """Verify C1 (all completions in time), C5 (coverage on cfg); C2 structural."""
-    failures: list[str] = []
-    deadline = plan.deadline
+    """Verify C1 (all completions in time) and C5 (the plan fires cfg); C2 structural.
+
+    Covers two holes and zero slack, which is every plan classify builds;
+    other plans raise PreconditionViolatedError.
+    """
     w = plan.target_size
     if cfg.size != w:
         raise OutOfSquareError(f"plan targets w={w}, configuration has {cfg.size}")
-    if not has_pattern(cfg, plan.pattern):
-        failures.append("reference configuration does not carry the plan pattern")
-
-    if cfg.k == 2 and plan.slack == 0:
-        late = _critical_pair_completion(plan)
-    else:
-        late = next(
-            (c.holes for c in pattern_completions(plan, cfg.k) if max_t(c) > deadline), None
+    if (cfg.k, plan.slack) != (2, 0):
+        raise PreconditionViolatedError(
+            f"plan checks cover two holes and zero slack, got k={cfg.k}, slack={plan.slack}"
         )
-    c1_ok = late is None
-    if not c1_ok:
+    run = run_message_plan(cfg, plan)
+    late = _critical_pair_completion(plan)
+    failures: list[str] = []
+    if late is not None:
         failures.append(
             f"C1: completion with holes {sorted(tuple(h) for h in late)} "
             f"exceeds the deadline"
         )
-
-    c5_ok = True
-    if plan.groups:
-        fields = [
-            [(mh_distance(V_GEN, site) + off, distance_grid(cfg, site)) for site, off in group]
-            for group in plan.groups
-        ]
-        for v in cfg.nodes():
-            i = cfg.index(v)
-            if not any(
-                all(birth + dist[i] <= deadline for birth, dist in group)
-                for group in fields
-            ):
-                c5_ok = False
-                failures.append(f"C5: node {tuple(v)} is not covered by any group")
-
-    return PlanCheckReport(c1_ok=c1_ok, c5_ok=c5_ok, failures=failures)
+    if not run.diagnostics["messages_generated"]:
+        failures.append("reference configuration does not carry the plan pattern")
+    else:
+        failures.extend(
+            f"C5: node {v} is not covered by any group" for v in run.diagnostics["unwilling"]
+        )
+    c5_ok = run.common_fire_time() == plan.deadline
+    return PlanCheckReport(c1_ok=late is None, c5_ok=c5_ok, failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +263,28 @@ def plan_to_json(plan: MessagePlan) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
-def plan_from_json(text: str) -> MessagePlan:
+def _only_ints(value) -> bool:
+    """True iff value is an int or a list, nested or not, of nothing but ints."""
+    if isinstance(value, list):
+        return all(map(_only_ints, value))
+    return type(value) is int
+
+
+def plan_from_json(text: str | bytes) -> MessagePlan:
     """Read a plan file; a "checked_region" key from older files is ignored."""
     try:
         doc = json.loads(text)
+        nodes, holes = doc["pattern"]["nodes"], doc["pattern"]["holes"]
+        if not _only_ints([doc["target_size"], doc["slack"], doc["groups"], nodes, holes]):
+            raise TypeError("sizes, offsets and coordinates must be integers")
         pattern = Pattern(
-            frozenset(
-                [(Position(*p), "N") for p in doc["pattern"]["nodes"]]
-                + [(Position(*p), "H") for p in doc["pattern"]["holes"]]
-            )
+            frozenset([(Position(*p), "N") for p in nodes] + [(Position(*p), "H") for p in holes])
         )
         groups = tuple(
             tuple((Position(*site), off) for site, off in group) for group in doc["groups"]
         )
         return MessagePlan(doc["target_size"], doc["slack"], groups, pattern)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed plan JSON: {exc}") from exc
 
 

@@ -23,7 +23,7 @@ Every node of a valid configuration with k <= 1 fires at exactly 2w.
 
 from __future__ import annotations
 
-from ..errors import WrongHoleCountError
+from ..errors import SizeTooSmallError, WrongHoleCountError
 from ..grid import Configuration, Position, boundary_condition
 from .line import LineSynchronizer
 from .transcript import FiringTranscript
@@ -131,7 +131,7 @@ def run_sh1(cfg: Configuration) -> FiringTranscript:
     if cfg.k > 1:
         raise WrongHoleCountError(f"square synchronizer handles k <= 1, got {cfg.k}")
     if cfg.size < 2:
-        raise ValueError(f"need w >= 2, got {cfg.size}")
+        raise SizeTooSmallError(f"square synchronizer needs w >= 2, got {cfg.size}")
     w = cfg.size
 
     diag = _diag_layer(cfg)

@@ -76,7 +76,7 @@ def test_criterion_1_ck_table():
 
 @pytest.mark.slow
 def test_criterion_1_optional_k7_row():
-    r = compute_ck(7, budget=7)
+    r = compute_ck(7)
     ok = (r.c_k, r.shape_count, r.pair_count, r.argmax_pair_count) == (5, 384344, 8397762, 20)
     report(1, ok, "optional k=7 row (5, 384344, 8397762, 20) reproduced exactly")
 

@@ -128,12 +128,12 @@ def test_k7_row_fresh_and_resumed(tmp_path):
     """The k=7 row at jobs=2 with a checkpoint, then resumed at jobs=1 from
     the first half of its records and a half-written one."""
     path = tmp_path / "ck.jsonl"
-    fresh = compute_ck(7, jobs=2, budget=7, checkpoint=str(path))
+    fresh = compute_ck(7, jobs=2, checkpoint=str(path))
     row = (fresh.c_k, fresh.shape_count, fresh.pair_count, fresh.argmax_pair_count)
     assert row == REFERENCE_CK_TABLE[7] == (5, 384344, 8397762, 20)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:24]) + lines[24][:20])
-    resumed = compute_ck(7, jobs=1, budget=7, checkpoint=str(path))
+    resumed = compute_ck(7, jobs=1, checkpoint=str(path))
     assert resumed == fresh
     assert len(path.read_text().splitlines()) == 49
 

@@ -46,38 +46,40 @@ class TestValidate:
 
 class TestBadInput:
     @pytest.mark.parametrize(
-        "argv, text, env, code",
+        "argv, text, code",
         [
-            (["classify"], '{"size": 12, "holes": [[8, 2], [2', None, "ParseError"),
-            (["classify"], '{"size": "12", "holes": []}', None, "ParseError"),
-            (["classify"], "w=2\n...\n.x.\n...\n", None, "ParseError"),
-            (["validate"], "w=2\n...\n.?.\n...\n", None, "ParseError"),
-            (["validate"], '{"size": 0, "holes": []}', None, "SizeTooSmall"),
-            (["validate"], "w=2\n...\n...\n...\n###\n", None, "ParseError"),
-            (["validate"], b'{"size": 5, "holes": [[\xff, 2]]}', None, "ParseError"),
-            (["validate"], "w=\u00b2\n...\n...\n...\n", None, "ParseError"),
-            (["validate"], '{"size": ' + "[" * 100_000, None, "ParseError"),
-            (["ck", "--k", "3", "--jobs", "1"], None, "3.5", "ParseError"),
-            (["validate"], '{"size": 3, "holes": [[1, 1], [1, 1]]}', None, "ParseError"),
-            (["validate"], "w=2\n...\n\n.#.\n\n...\n", None, "ParseError"),
-            (["simulate", "line", "--n", "0"], None, None, "SizeTooSmall"),
-            (["simulate", "line", "--n", "-3"], None, None, "SizeTooSmall"),
-            (["simulate", "line", "--n", "100000"], None, None, "SizeTooLarge"),
-            (["ck", "--k", "3", "--jobs", "0"], None, None, "ParseError"),
-            (["ck", "--k", "3", "--jobs", "-1"], None, None, "ParseError"),
-            (["repro-tables", "--ks", "2", "--jobs", "0"], None, None, "ParseError"),
-            (["repro-tables", "--ks", "2,x"], None, None, "ParseError"),
+            (["classify"], '{"size": 12, "holes": [[8, 2], [2', "ParseError"),
+            (["classify"], '{"size": "12", "holes": []}', "ParseError"),
+            (["classify"], "w=2\n...\n.x.\n...\n", "ParseError"),
+            (["validate"], "w=2\n...\n.?.\n...\n", "ParseError"),
+            (["validate"], '{"size": 0, "holes": []}', "SizeTooSmall"),
+            (["validate"], "w=2\n...\n...\n...\n###\n", "ParseError"),
+            (["validate"], b'{"size": 5, "holes": [[\xff, 2]]}', "ParseError"),
+            (["validate"], "w=\u00b2\n...\n...\n...\n", "ParseError"),
+            (["validate"], '{"size": ' + "[" * 100_000, "ParseError"),
+            (["validate"], '{"size": 3, "holes": [[1, 1], [1, 1]]}', "ParseError"),
+            (["validate"], "w=2\n...\n\n.#.\n\n...\n", "ParseError"),
+            (["simulate", "line", "--n", "0"], None, "SizeTooSmall"),
+            (["simulate", "line", "--n", "-3"], None, "SizeTooSmall"),
+            (["simulate", "line", "--n", "100000"], None, "SizeTooLarge"),
+            (["ck", "--k", "3", "--jobs", "0"], None, "ParseError"),
+            (["ck", "--k", "3", "--jobs", "-1"], None, "ParseError"),
+            (["repro-tables", "--ks", "2", "--jobs", "0"], None, "ParseError"),
+            (["repro-tables", "--ks", "2,x"], None, "ParseError"),
             # The --v value is checked before either file is opened.
-            (["equiv", "a.json", "b.json", "--t", "3", "--v", "a,b"], None, None, "ParseError"),
-            (["equiv", "a.json", "b.json", "--t", "3", "--v", "1,2,3"], None, None, "ParseError"),
+            (["equiv", "a.json", "b.json", "--t", "3", "--v", "a,b"], None, "ParseError"),
+            (["equiv", "a.json", "b.json", "--t", "3", "--v", "1,2,3"], None, "ParseError"),
+            (["simulate", "sh1"], '{"size": 1, "holes": []}', "SizeTooSmall"),
+            (["ck", "--k", "1"], None, "WrongHoleCount"),
+            (["ck", "--k", "0"], None, "WrongHoleCount"),
         ],
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
-             "extra-row", "not-utf8", "superscript-size", "deep-json", "budget-env",
-             "repeated-hole", "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
+             "extra-row", "not-utf8", "superscript-size", "deep-json", "repeated-hole",
+             "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
              "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "repro-ks", "equiv-v-text",
-             "equiv-v-three"],
+             "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0"],
     )
-    def test_exit_2_with_code(self, tmp_path, monkeypatch, capsys, argv, text, env, code):
+    def test_exit_2_with_code(self, tmp_path, capsys, argv, text, code):
         if text is not None:
             path = tmp_path / "cfg"
             if isinstance(text, bytes):
@@ -85,8 +87,6 @@ class TestBadInput:
             else:
                 path.write_text(text)
             argv = argv + [str(path)]
-        if env is not None:
-            monkeypatch.setenv("FSSP_BUDGET_K", env)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert code in captured.out + captured.err
@@ -217,7 +217,6 @@ class TestOtherCommands:
             return json.loads(out)["inputs_digest"]
 
         first = digest("--ks", "2,3")
-        want = hashlib.sha256(b'{"budget":null,"ks":[2,3]}').hexdigest()
+        want = hashlib.sha256(b'{"ks":[2,3]}').hexdigest()
         assert first == digest("--ks", "2,3") == want
         assert digest("--ks", "2,4") != first
-        assert digest("--ks", "2,3", "--budget-k", "6") != first

@@ -48,7 +48,7 @@ class TestValidate:
     def test_too_many_holes(self):
         with pytest.raises(TooManyHolesError):
             validate(1, [(1, 1)])
-        # within budget: the single interior cell of w=2 may be a hole
+        # within the (w-1)^2 limit: the single interior cell of w=2 may be a hole
         assert validate(2, [(1, 1)]).k == 1
 
     def test_size_below_one(self):

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fssp_holes.errors import OutOfSquareError, PreconditionViolatedError
 from fssp_holes.grid import Pattern, Position, pattern_of, regions, validate
+from fssp_holes.mft2 import build_witness_plan
 from fssp_holes.shapes import compute_ck
 from fssp_holes.sim.plan import (
     MessagePlan,
@@ -13,6 +15,19 @@ from fssp_holes.sim.plan import (
     run_message_plan,
     worked_instance_plan,
 )
+from fssp_holes.timebounds import max_t
+
+
+def late_completion(plan: MessagePlan, k: int):
+    """C1 by enumeration, for any k and slack: the holes of the first
+    completion of the plan pattern whose max_t exceeds the deadline, or None.
+
+    check_c_conditions covers only two holes and zero slack; this is the
+    oracle for the other plans.
+    """
+    return next(
+        (c.holes for c in pattern_completions(plan, k) if max_t(c) > plan.deadline), None
+    )
 
 
 class TestWorkedInstance:
@@ -20,8 +35,9 @@ class TestWorkedInstance:
         plan = worked_instance_plan()
         cfg = validate(7, [(1, 1), (2, 1), (3, 1)])
         assert run_message_plan(cfg, plan).common_fire_time() == 14
-        report = check_c_conditions(plan, cfg)
-        assert report.ok
+        assert late_completion(plan, cfg.k) is None
+        with pytest.raises(PreconditionViolatedError):
+            check_c_conditions(plan, cfg)  # three holes
 
     @pytest.mark.parametrize("w", [6, 8])
     def test_size_mismatch_never_fires(self, w):
@@ -45,13 +61,15 @@ class TestSizeCheckOnlyPlan:
         for holes in ([(6, 4), (7, 5)], [(3, 3), (8, 8)], [(10, 3), (3, 10)]):
             tr = run_message_plan(validate(12, holes), plan)
             assert tr.common_fire_time() == 24 + c2
-        report = check_c_conditions(plan, validate(12, [(6, 4), (7, 5)]))
-        assert report.ok
+        assert late_completion(plan, 2) is None
+        with pytest.raises(PreconditionViolatedError):
+            check_c_conditions(plan, validate(12, [(6, 4), (7, 5)]))  # slack 1
 
     def test_zero_slack_version_fails_c1(self):
         plan = MessagePlan(12, 0, (), Pattern(frozenset()))
         report = check_c_conditions(plan, validate(12, [(3, 3), (8, 8)]))
         assert not report.c1_ok  # a critical-pair completion exceeds 2w
+        assert late_completion(plan, 2) is not None
 
 
 class TestC5Failure:
@@ -69,6 +87,21 @@ class TestC5Failure:
         assert any("(12, 12)" in f for f in failing)
         # and the run does not fire anybody
         assert run_message_plan(cfg, plan).common_fire_time() is None
+
+
+class TestReferenceConfiguration:
+    def test_missing_pattern_fails_the_check(self):
+        plan = build_witness_plan(validate(12, [(3, 3), (8, 8)]))
+        cfg = validate(12, [(2, 3), (8, 8)])
+        report = check_c_conditions(plan, cfg)
+        assert report.failures == ["reference configuration does not carry the plan pattern"]
+        assert report.c1_ok and not report.c5_ok and not report.ok
+        assert run_message_plan(cfg, plan).common_fire_time() is None
+
+    def test_size_mismatch_raises(self):
+        plan = build_witness_plan(validate(12, [(3, 3), (8, 8)]))
+        with pytest.raises(OutOfSquareError):
+            check_c_conditions(plan, validate(13, [(3, 3), (8, 8)]))
 
 
 class TestCompletions:

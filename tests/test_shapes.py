@@ -7,9 +7,11 @@ from fssp_holes.errors import (
     CheckpointMismatchError,
     ParseError,
     UnreachableError,
+    WrongHoleCountError,
 )
 from fssp_holes.grid import Position
 from fssp_holes.shapes import (
+    HARD_MAX_K,
     BarrierShape,
     REFERENCE_CK_TABLE,
     ck_bounds,
@@ -40,16 +42,20 @@ class TestEnumeration:
             assert cols == set(range(shape.width))
             assert rows == set(range(shape.height))
 
-    def test_budget_env_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv("FSSP_BUDGET_K", "six")
-        with pytest.raises(ParseError):
-            compute_ck(3)
-
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_shapes(7))  # default cap is 6
-        with pytest.raises(BudgetExceededError):
-            compute_ck(8, budget=9)  # hard ceiling 7
+        # Above HARD_MAX_K is out of compute scope; below the least k is
+        # invalid input.  Both raise before any shape is scanned.
+        for k in (HARD_MAX_K + 1, 100):
+            with pytest.raises(BudgetExceededError):
+                list(enumerate_shapes(k))
+            with pytest.raises(BudgetExceededError):
+                compute_ck(k)
+        for k in (0, -1):
+            with pytest.raises(WrongHoleCountError):
+                list(enumerate_shapes(k))
+        for k in (1, 0, -1):
+            with pytest.raises(WrongHoleCountError):
+                compute_ck(k)
 
     def test_pocket_shapes_excluded(self):
         # node at (1,1) sealed by four holes: not a legal shape
