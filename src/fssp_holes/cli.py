@@ -64,8 +64,10 @@ def _int_list(text: str, option: str, length: int | None = None) -> list[int]:
 
 
 def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ParseError(f"--jobs must be >= 1, got {jobs}")
+    """--jobs from 1 to the CPU count, its default: a process pool forks every worker at once."""
+    most = os.cpu_count() or 1
+    if not 1 <= jobs <= most:
+        raise ParseError(f"--jobs must be between 1 and the CPU count {most}, got {jobs}")
 
 
 def _cmd_validate(args) -> int:
@@ -279,7 +281,6 @@ def repro_tables(ks, jobs: int = 1) -> RunReport:
     for k in ks:
         result = shapes.compute_ck(k, jobs=jobs)
         ref = shapes.REFERENCE_CK_TABLE.get(k)
-        computed = (result.c_k, result.shape_count, result.pair_count, result.argmax_pair_count)
         rows.append(
             {
                 "k": k,
@@ -288,7 +289,7 @@ def repro_tables(ks, jobs: int = 1) -> RunReport:
                 "pairs": result.pair_count,
                 "argmax_pairs": result.argmax_pair_count,
                 "reference": list(ref) if ref else None,
-                "match": ref == computed,
+                "match": result.matches_reference(),
             }
         )
     return RunReport(
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--list-argmax", action="store_true")
-    p.add_argument("--checkpoint", default=None, help="resumable per-slab results file")
+    p.add_argument("--checkpoint", default=None, help="resumable per-task results file")
     p.set_defaults(fn=_cmd_ck)
 
     p = sub.add_parser("tvc", help="through-corner time bound table")

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, groupby
+from functools import lru_cache
+from itertools import chain, repeat
 from operator import add, getitem
 from typing import Iterable, Iterator
 
@@ -238,7 +238,7 @@ class CkResult:
 ScanResult = tuple[int, int, int, list[tuple[int, int, int, int, int]]]
 
 #: Format version of checkpoint records; bump when the record layout changes.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def _slab_maps(width: int, height: int) -> list:
@@ -273,6 +273,24 @@ def _transpose_mask(mask: int, width: int, height: int) -> int:
     )
 
 
+@lru_cache(maxsize=1)  # a slab's tasks arrive one after another
+def _slab_tables(width: int, height: int) -> tuple:
+    """One slab's scan tables: the maps that keep it; per map, row and row mask the image's
+    hole bits; per row and row mask the enlarged-rectangle hole indices; its node indices."""
+    ny = height + 2
+    maps = _slab_maps(width, height)
+    image_bits = [
+        [
+            [sum(1 << (py * width + px) for px, py in cells) for cells in row]
+            for row in _row_table(width, height, f)
+        ]
+        for f in maps
+    ]
+    row_holes = _row_table(width, height, lambda x, y: (x + 1) * ny + y + 1)
+    cells = {(x + 1) * ny + y + 1 for x in range(width) for y in range(height)}
+    return maps, image_bits, row_holes, cells
+
+
 def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
     """Scan one (width, height) slab, width <= height: (shapes, pairs, best, argmax keys).
 
@@ -289,18 +307,7 @@ def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
     nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
     corners = width + height + 2
     area = width * height
-    maps = _slab_maps(width, height)
-    # Per row and row mask: the image's row-major hole bits under each map,
-    # and the hole indices in the enlarged rectangle.
-    image_bits = [
-        [
-            [sum(1 << (py * width + px) for px, py in cells) for cells in row]
-            for row in _row_table(width, height, f)
-        ]
-        for f in maps
-    ]
-    row_holes = _row_table(width, height, lambda x, y: (x + 1) * ny + y + 1)
-    cells = {(x + 1) * ny + y + 1 for x in range(width) for y in range(height)}
+    maps, image_bits, row_holes, cells = _slab_tables(width, height)
     shapes = pairs = 0
     best = -1
     reps: list[tuple[list[int], int]] = []
@@ -345,10 +352,6 @@ def _mirror(result: ScanResult) -> ScanResult:
     )
 
 
-def _scan_task(args) -> ScanResult:
-    return _scan_shapes(*args)
-
-
 def _merge(results: Iterable[ScanResult]) -> ScanResult:
     """Sum the counts of scan results and keep the argmax keys of the best e2."""
     results = list(results)
@@ -357,18 +360,11 @@ def _merge(results: Iterable[ScanResult]) -> ScanResult:
     return sum(r[0] for r in results), sum(r[1] for r in results), best, arg
 
 
-def _slab_tasks(width: int, height: int, k: int, jobs: int) -> list[tuple]:
-    """Split one slab by its row-0 hole mask into about 2 * jobs scan tasks."""
-    first = [m for m in range(1, 1 << width) if bin(m).count("1") <= k - (height - 1)]
-    step = max(1, len(first) // (2 * jobs))
-    return [(width, height, k, first[i : i + step]) for i in range(0, len(first), step)]
-
-
-def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int], ScanResult]:
-    """Completed slabs of a checkpoint file written for this k.
+def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult]:
+    """Completed (w, h, row0) tasks of a checkpoint file written for this k.
 
     A last line without its newline is an interrupted write: it is dropped
-    and the file is cut back to the last newline, so its slab is recomputed.
+    and the file is cut back to the last newline, so its task is rescanned.
     A record for another k or format version fails closed.
     """
     try:
@@ -383,24 +379,26 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int], ScanResult]:
             continue
         try:
             doc = json.loads(line)
-            version, rec_k, slab = doc.get("v"), doc.get("k"), (doc["w"], doc["h"])
-            result = (doc["shapes"], doc["pairs"], doc["best"], [tuple(a) for a in doc["arg"]])
+            version, rec_k = doc.get("v"), doc.get("k")
+            if (version, rec_k) == (CHECKPOINT_VERSION, k):  # else fail closed below
+                done[doc["w"], doc["h"], doc["row0"]] = (
+                    doc["shapes"], doc["pairs"], doc["best"], [tuple(a) for a in doc["arg"]]
+                )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"{path}:{n}: malformed checkpoint record: {exc}") from exc
-        if version != CHECKPOINT_VERSION or rec_k != k:
+        if (version, rec_k) != (CHECKPOINT_VERSION, k):
             raise CheckpointMismatchError(
                 f"{path}:{n}: record for k={rec_k}, version {version}; this run is "
                 f"k={k}, version {CHECKPOINT_VERSION}. Use a fresh checkpoint file"
             )
-        done[slab] = result
     if end < len(data):
         os.truncate(path, end)
     return done
 
 
-def _append_checkpoint(path: str, k: int, slab: tuple[int, int], result: ScanResult) -> None:
+def _append_checkpoint(path: str, k: int, task: tuple[int, int, int], result: ScanResult) -> None:
     shapes_n, pairs_n, best, arg = result
-    record = {"v": CHECKPOINT_VERSION, "k": k, "w": slab[0], "h": slab[1],
+    record = {"v": CHECKPOINT_VERSION, "k": k, "w": task[0], "h": task[1], "row0": task[2],
               "shapes": shapes_n, "pairs": pairs_n, "best": best,
               "arg": [list(key) for key in arg]}
     with open(path, "a", encoding="utf-8") as fh:
@@ -412,33 +410,34 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
 
     The shape space is partitioned into (W, H) slabs.  Only slabs with
     W <= H are scanned, one shape per symmetry orbit (_scan_shapes); the
-    transpose gives the (H, W) slab's result.  Each scanned slab is split
-    into tasks by its row-0 hole mask and scanned in a process pool when
-    jobs > 1.  A checkpoint file gets one record (k, slab, counts) per
-    completed slab, both slabs of a mirrored pair included, and lets an
-    interrupted k=7 run resume; a pair missing either record is rescanned.
+    transpose gives the (H, W) slabs' result (_mirror).  A task, the same
+    for any jobs, is one scanned slab and one first-row hole mask: one
+    _scan_shapes call, run in a pool of at most jobs processes, and one
+    checkpoint record (k, w, h, row0, counts) to resume from at any jobs.
     """
     _check_k(k, 2)  # smaller k admit no node pairs
     done = _load_checkpoint(checkpoint, k) if checkpoint else {}
     tasks = [
-        task
+        (w, h, row0)
         for w in range(1, k + 1)
         for h in range(w, k + 1)
-        if (w, h) not in done or (h, w) not in done
-        for task in _slab_tasks(w, h, k, jobs)
+        for row0 in range(1, 1 << w)
+        if bin(row0).count("1") <= k - (h - 1)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        scanned = zip(tasks, (pool.map if pool else map)(_scan_task, tasks))
-        for (w, h), chunks in groupby(scanned, key=lambda tr: tr[0][:2]):
-            result = _merge(r for _, r in chunks)
-            slabs = [((w, h), result)] + ([((h, w), _mirror(result))] if w < h else [])
-            for slab, slab_result in slabs:
-                if slab not in done:
-                    done[slab] = slab_result
-                    if checkpoint:
-                        _append_checkpoint(checkpoint, k, slab, slab_result)
+    todo = [task for task in tasks if task not in done]
+    workers = min(jobs, len(todo))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        columns = [t[0] for t in todo], [t[1] for t in todo], repeat(k), [(t[2],) for t in todo]
+        scanned = (pool.map if pool else map)(_scan_shapes, *columns)
+        for task, result in zip(todo, scanned):
+            done[task] = result
+            if checkpoint:
+                _append_checkpoint(checkpoint, k, task, result)
 
-    shape_count, pair_count, best, arg_keys = _merge(done.values())
+    mirrored = _mirror(_merge(done[w, h, row0] for w, h, row0 in tasks if w < h))
+    shape_count, pair_count, best, arg_keys = _merge([*(done[t] for t in tasks), mirrored])
     if best < 0 or best % 2:
         raise AssertionError("no evaluable pairs or parity violation")
     argmax = tuple(
@@ -463,10 +462,10 @@ def h_threshold(k: int) -> int:
     return -(-(k * k + 7 * k + 5) // 2)  # ceil((k^2+7k+5)/2)
 
 
-def h_kw(k: int, w: int, jobs: int = 1) -> int | None:
+def h_kw(k: int, w: int) -> int | None:
     """2w + c_k when w is above the exactness threshold, else None (unknown)."""
     if k < 2:
         raise ValueError(f"h_kw needs k >= 2, got {k}")
-    if 2 * w < k * k + 7 * k + 5:
+    if w < h_threshold(k):
         return None
-    return 2 * w + compute_ck(k, jobs=jobs).c_k
+    return 2 * w + compute_ck(k).c_k

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import random
 
@@ -26,3 +27,13 @@ def all_two_hole_configs(w: int):
 @pytest.fixture
 def rng():
     return random.Random(20829)
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Starting a process pool fails the test instead of forking workers."""
+
+    def refuse(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)

@@ -106,13 +106,23 @@ def test_row_and_argmax_pairs_match_the_unreduced_scan(k):
 
 
 def test_checkpoint_records_match_the_unreduced_scan(tmp_path):
+    """One record per (W <= H slab, first-row mask) task.  A record counts
+    the orbits whose representative has that first row, so only a slab's
+    records together equal the unreduced scan of the slab, and their
+    _mirror that of the transposed slab."""
     path = tmp_path / "ck.jsonl"
     compute_ck(5, jobs=2, checkpoint=str(path))
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(records) == 25
-    for rec in records:
-        got = (rec["shapes"], rec["pairs"], rec["best"], [tuple(a) for a in rec["arg"]])
-        assert got == oracle_slab(rec["w"], rec["h"], 5), (rec["w"], rec["h"])
+    assert len(records) == len({(r["w"], r["h"], r["row0"]) for r in records}) == 51
+    for w in range(1, 6):
+        for h in range(w, 6):
+            got = _merge(
+                (r["shapes"], r["pairs"], r["best"], [tuple(a) for a in r["arg"]])
+                for r in records
+                if (r["w"], r["h"]) == (w, h)
+            )
+            assert got == oracle_slab(w, h, 5), (w, h)
+            assert _mirror(got) == oracle_slab(h, w, 5), (h, w)
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -132,10 +142,11 @@ def test_k7_row_fresh_and_resumed(tmp_path):
     row = (fresh.c_k, fresh.shape_count, fresh.pair_count, fresh.argmax_pair_count)
     assert row == REFERENCE_CK_TABLE[7] == (5, 384344, 8397762, 20)
     lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:24]) + lines[24][:20])
+    assert len(lines) == 176
+    path.write_text("".join(lines[:88]) + lines[88][:20])
     resumed = compute_ck(7, jobs=1, checkpoint=str(path))
     assert resumed == fresh
-    assert len(path.read_text().splitlines()) == 49
+    assert sorted(path.read_text().splitlines(keepends=True)) == sorted(lines)
 
 
 # --- stabilizers ---------------------------------------------------------

@@ -65,6 +65,8 @@ class TestBadInput:
             (["ck", "--k", "3", "--jobs", "0"], None, "ParseError"),
             (["ck", "--k", "3", "--jobs", "-1"], None, "ParseError"),
             (["repro-tables", "--ks", "2", "--jobs", "0"], None, "ParseError"),
+            # Above the CPU count; a pool that large would fork every worker at once.
+            (["ck", "--k", "2", "--jobs", "100000"], None, "ParseError"),
             (["repro-tables", "--ks", "2,x"], None, "ParseError"),
             # The --v value is checked before either file is opened.
             (["equiv", "a.json", "b.json", "--t", "3", "--v", "a,b"], None, "ParseError"),
@@ -76,10 +78,10 @@ class TestBadInput:
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
              "extra-row", "not-utf8", "superscript-size", "deep-json", "repeated-hole",
              "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
-             "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "repro-ks", "equiv-v-text",
-             "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0"],
+             "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "ck-jobs-huge", "repro-ks",
+             "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0"],
     )
-    def test_exit_2_with_code(self, tmp_path, capsys, argv, text, code):
+    def test_exit_2_with_code(self, tmp_path, capsys, no_process_pool, argv, text, code):
         if text is not None:
             path = tmp_path / "cfg"
             if isinstance(text, bytes):

@@ -170,9 +170,18 @@ class TestCk:
         )
         assert par.argmax_pairs == seq.argmax_pairs
 
+    def test_pool_never_outnumbers_the_tasks(self, no_process_pool):
+        # k=2 has 4 tasks: (w, h, row0) = (1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)
+        with pytest.raises(AssertionError, match="a pool of 4 workers"):
+            compute_ck(2, jobs=64)
+
 
 def _row(r):
     return r.c_k, r.shape_count, r.pair_count, r.argmax_pair_count, r.argmax_pairs
+
+
+def _tasks(path):
+    return [(d["w"], d["h"], d["row0"]) for d in map(json.loads, path.read_text().splitlines())]
 
 
 class TestCheckpoint:
@@ -181,30 +190,34 @@ class TestCheckpoint:
         path = tmp_path / "ck.jsonl"
         fresh = compute_ck(4, jobs=jobs, checkpoint=str(path))
         lines = path.read_text().splitlines(keepends=True)
-        assert len(lines) == 16  # one record per (W, H) slab
+        tasks = _tasks(path)
+        assert len(set(tasks)) == len(lines) == 25  # one record per (W <= H slab, row-0 mask)
         path.write_text("".join(lines[:7]))
         resumed = compute_ck(4, jobs=jobs, checkpoint=str(path))
         assert _row(resumed) == _row(fresh) == _row(compute_ck(4))
-        slabs = [(d["w"], d["h"]) for d in map(json.loads, path.read_text().splitlines())]
-        assert sorted(slabs) == [(w, h) for w in range(1, 5) for h in range(1, 5)]
+        assert sorted(_tasks(path)) == sorted(tasks)  # each task exactly once
 
-    def test_half_of_a_mirrored_pair_is_rescanned(self, tmp_path):
-        # Records in (w, h) order, as files written before the (W, H) and
-        # (H, W) slabs were scanned together; cut after (2, 3), before (3, 2).
-        path = tmp_path / "ck.jsonl"
-        fresh = compute_ck(4, checkpoint=str(path))
-        records = sorted(map(json.loads, path.read_text().splitlines()), key=lambda d: (d["w"], d["h"]))
-        kept = records[: records.index(next(d for d in records if (d["w"], d["h"]) == (2, 3))) + 1]
-        path.write_text("".join(json.dumps(d) + "\n" for d in kept))
-        assert _row(compute_ck(4, checkpoint=str(path))) == _row(fresh)
-        resumed = sorted(map(json.loads, path.read_text().splitlines()), key=lambda d: (d["w"], d["h"]))
-        assert resumed == records  # (3, 2) written once, (2, 3) not again
+    def test_records_do_not_depend_on_jobs(self, tmp_path):
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        compute_ck(5, jobs=1, checkpoint=str(one))
+        compute_ck(5, jobs=2, checkpoint=str(two))
+        lines = one.read_text().splitlines()
+        assert len(lines) == 51 and sorted(lines) == sorted(two.read_text().splitlines())
 
-    def test_fully_checkpointed_run_scans_nothing(self, tmp_path, monkeypatch):
+    def test_fully_checkpointed_run_scans_nothing(self, tmp_path, monkeypatch, no_process_pool):
         path = str(tmp_path / "ck.jsonl")
         fresh = compute_ck(4, checkpoint=path)
         monkeypatch.setattr("fssp_holes.shapes._scan_shapes", None)
-        assert _row(compute_ck(4, checkpoint=path)) == _row(fresh)
+        for jobs in (1, 2):
+            assert _row(compute_ck(4, jobs=jobs, checkpoint=path)) == _row(fresh)
+
+    def test_slab_record_of_version_2_fails_closed(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        path.write_text(
+            '{"v": 2, "k": 4, "w": 1, "h": 1, "shapes": 1, "pairs": 0, "best": -1, "arg": []}\n'
+        )
+        with pytest.raises(CheckpointMismatchError):
+            compute_ck(4, checkpoint=str(path))
 
     def test_other_k_fails_closed(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
@@ -234,4 +247,4 @@ class TestCheckpoint:
         text = path.read_text()
         assert text.endswith("\n")
         records = [json.loads(line) for line in text.splitlines()]
-        assert len(records) == 16 and all(r["k"] == 4 for r in records)
+        assert len(records) == 25 and all(r["k"] == 4 for r in records)
