@@ -32,11 +32,11 @@ from .errors import (
 from .grid import Position, _bfs
 
 #: The largest k that enumerate_shapes and compute_ck accept.
-HARD_MAX_K = 7
+HARD_MAX_K = 8
 
 #: Reference values (k -> (c_k, shapes, pairs, argmax pairs)) that the
-#: enumeration reproduces.  Rows 8 and 9 are beyond desk-scale compute and
-#: are kept for documentation only.
+#: enumeration reproduces.  Row 9, above HARD_MAX_K, is beyond desk-scale
+#: compute and is kept for documentation only.
 REFERENCE_CK_TABLE: dict[int, tuple[int, int, int, int]] = {
     2: (1, 5, 4, 2),
     3: (1, 29, 80, 34),
@@ -227,28 +227,32 @@ class CkResult:
     c_k: int
     shape_count: int
     pair_count: int
-    argmax_pair_count: int
     argmax_pairs: tuple[tuple[BarrierShape, Position], ...]
+
+    @property
+    def argmax_pair_count(self) -> int:
+        return len(self.argmax_pairs)
 
     def matches_reference(self) -> bool:
         ref = REFERENCE_CK_TABLE.get(self.k)
         return ref == (self.c_k, self.shape_count, self.pair_count, self.argmax_pair_count)
 
 
-ScanResult = tuple[int, int, int, list[tuple[int, int, int, int, int]]]
+ScanResult = tuple[int, int, int, list[tuple[int, int, int]]]
 
 #: Format version of checkpoint records; bump when the record layout changes.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
-def _slab_maps(width: int, height: int) -> list:
-    """The maps (x, y) -> (x', y') of the group {id, transpose, rot180,
-    anti-transpose} that keep the (width, height) slab: id and rot180, and
-    in a square slab also transpose and anti-transpose."""
-    maps = [lambda x, y: (x, y), lambda x, y: (width - 1 - x, height - 1 - y)]
-    if width == height:
-        maps += [lambda x, y: (y, x), lambda x, y: (height - 1 - y, width - 1 - x)]
-    return maps
+def _group_maps(width: int, height: int) -> list:
+    """The group {id, rot180, transpose, anti-transpose} on the (width, height)
+    slab: each map (x, y) -> (x', y') with the slab it maps onto."""
+    return [
+        ((width, height), lambda x, y: (x, y)),
+        ((width, height), lambda x, y: (width - 1 - x, height - 1 - y)),
+        ((height, width), lambda x, y: (y, x)),
+        ((height, width), lambda x, y: (height - 1 - y, width - 1 - x)),
+    ]
 
 
 def _row_table(width: int, height: int, cell) -> list[list[list]]:
@@ -263,54 +267,44 @@ def _row_table(width: int, height: int, cell) -> list[list[list]]:
     ]
 
 
-def _transpose_mask(mask: int, width: int, height: int) -> int:
-    """Row-major hole mask of the transposed shape, (x, y) to (y, x) in slab (H, W)."""
-    return sum(
-        1 << (x * height + y)
-        for y in range(height)
-        for x in range(width)
-        if mask >> (y * width + x) & 1
-    )
-
-
 @lru_cache(maxsize=1)  # a slab's tasks arrive one after another
 def _slab_tables(width: int, height: int) -> tuple:
-    """One slab's scan tables: the maps that keep it; per map, row and row mask the image's
+    """One slab's scan tables: per group map into the slab, row and row mask the image's
     hole bits; per row and row mask the enlarged-rectangle hole indices; its node indices."""
     ny = height + 2
-    maps = _slab_maps(width, height)
     image_bits = [
         [
             [sum(1 << (py * width + px) for px, py in cells) for cells in row]
             for row in _row_table(width, height, f)
         ]
-        for f in maps
+        for slab, f in _group_maps(width, height)
+        if slab == (width, height)
     ]
     row_holes = _row_table(width, height, lambda x, y: (x + 1) * ny + y + 1)
     cells = {(x + 1) * ny + y + 1 for x in range(width) for y in range(height)}
-    return maps, image_bits, row_holes, cells
+    return image_bits, row_holes, cells
 
 
 def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
-    """Scan one (width, height) slab, width <= height: (shapes, pairs, best, argmax keys).
+    """Scan one (width, height) slab, width <= height: (shapes, pairs, best, reps).
 
     e2 = 2 e_max is invariant under rot180, transpose and anti-transpose:
     each map swaps the NW and SE corners of the enlarged rectangle, so d0
     and d1 swap.  Only the shape with the smallest row-major hole mask in
-    its orbit under the maps that keep the slab (_slab_maps) runs the two
-    corner BFS.  Its shapes and pairs count once per distinct image, and
-    its argmax nodes are expanded into every image, so the result equals a
-    scan of every raw shape.  The (height, width) slab's result is _mirror
-    of this one.
+    its orbit under the group maps that keep the slab runs the two corner
+    BFS.  Its shapes and pairs count once per distinct image, so the counts
+    equal a scan of every raw shape of the slab, and of the (height, width)
+    slab by transpose.  A rep (mask, x, y) is a representative's argmax
+    node; _orbit_keys gives its images in both slabs.
     """
     nx, ny = width + 2, height + 2
     nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
     corners = width + height + 2
     area = width * height
-    maps, image_bits, row_holes, cells = _slab_tables(width, height)
+    image_bits, row_holes, cells = _slab_tables(width, height)
     shapes = pairs = 0
     best = -1
-    reps: list[tuple[list[int], int]] = []
+    reps: list[tuple[int, int]] = []
     for rows in _iter_hole_masks(width, height, k, first_masks):
         images = [sum(map(getitem, bits, rows)) for bits in image_bits]
         if min(images) < images[0]:
@@ -334,30 +328,18 @@ def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
         if top - corners > best:
             best = top - corners
             reps = []
-        reps += [(images, i) for i, s in enumerate(sums) if s == top and i in cells]
-    keys = {
-        (width, height, mask, *f(i // ny - 1, i % ny - 1))
-        for images, i in reps
-        for mask, f in zip(images, maps)
+        reps += [(images[0], i) for i, s in enumerate(sums) if s == top and i in cells]
+    return shapes, pairs, best, [(mask, i // ny - 1, i % ny - 1) for mask, i in reps]
+
+
+def _orbit_keys(width: int, height: int, mask: int, x: int, y: int) -> set:
+    """Every image (W', H', mask', x', y') of the (width, height) shape with
+    row-major hole mask `mask` and its node (x, y) under the group maps."""
+    holes = [(b % width, b // width) for b in range(width * height) if mask >> b & 1]
+    return {
+        (w, h, sum(1 << (py * w + px) for px, py in (f(*c) for c in holes)), *f(x, y))
+        for (w, h), f in _group_maps(width, height)
     }
-    return shapes, pairs, best, sorted(keys)
-
-
-def _mirror(result: ScanResult) -> ScanResult:
-    """The (H, W) slab's result from the (W, H) one: the transpose maps one
-    slab onto the other, so the counts are equal and the argmax keys transpose."""
-    shapes_n, pairs_n, best, arg = result
-    return shapes_n, pairs_n, best, sorted(
-        (h, w, _transpose_mask(mask, w, h), y, x) for w, h, mask, x, y in arg
-    )
-
-
-def _merge(results: Iterable[ScanResult]) -> ScanResult:
-    """Sum the counts of scan results and keep the argmax keys of the best e2."""
-    results = list(results)
-    best = max((r[2] for r in results), default=-1)
-    arg = sorted(key for r in results if r[2] == best for key in r[3])
-    return sum(r[0] for r in results), sum(r[1] for r in results), best, arg
 
 
 def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult]:
@@ -365,7 +347,8 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
 
     A last line without its newline is an interrupted write: it is dropped
     and the file is cut back to the last newline, so its task is rescanned.
-    A record for another k or format version fails closed.
+    A record for another k or format version fails closed, and so does a
+    record of this k and version with a missing or non-integer field.
     """
     try:
         with open(path, "rb") as fh:
@@ -381,9 +364,13 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
             doc = json.loads(line)
             version, rec_k = doc.get("v"), doc.get("k")
             if (version, rec_k) == (CHECKPOINT_VERSION, k):  # else fail closed below
-                done[doc["w"], doc["h"], doc["row0"]] = (
-                    doc["shapes"], doc["pairs"], doc["best"], [tuple(a) for a in doc["arg"]]
-                )
+                task = doc["w"], doc["h"], doc["row0"]
+                counts = doc["shapes"], doc["pairs"], doc["best"]
+                reps = [tuple(rep) for rep in doc["arg"]]
+                fields = chain(task, counts, *reps)
+                if any(len(rep) != 3 for rep in reps) or any(type(v) is not int for v in fields):
+                    raise ValueError("a field is not an integer or a rep is not [mask, x, y]")
+                done[task] = (*counts, reps)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"{path}:{n}: malformed checkpoint record: {exc}") from exc
         if (version, rec_k) != (CHECKPOINT_VERSION, k):
@@ -397,10 +384,10 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
 
 
 def _append_checkpoint(path: str, k: int, task: tuple[int, int, int], result: ScanResult) -> None:
-    shapes_n, pairs_n, best, arg = result
+    shapes_n, pairs_n, best, reps = result
     record = {"v": CHECKPOINT_VERSION, "k": k, "w": task[0], "h": task[1], "row0": task[2],
               "shapes": shapes_n, "pairs": pairs_n, "best": best,
-              "arg": [list(key) for key in arg]}
+              "arg": [list(rep) for rep in reps]}
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
 
@@ -409,11 +396,13 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
     """Exact maximum of e_max over all (shape, node) pairs, with counts.
 
     The shape space is partitioned into (W, H) slabs.  Only slabs with
-    W <= H are scanned, one shape per symmetry orbit (_scan_shapes); the
-    transpose gives the (H, W) slabs' result (_mirror).  A task, the same
-    for any jobs, is one scanned slab and one first-row hole mask: one
-    _scan_shapes call, run in a pool of at most jobs processes, and one
-    checkpoint record (k, w, h, row0, counts) to resume from at any jobs.
+    W <= H are scanned, one shape per symmetry orbit (_scan_shapes); a
+    W < H result counts twice, once for its transpose in the (H, W) slab.
+    A task, the same for any jobs, is one scanned slab and one first-row
+    hole mask: one _scan_shapes call, run in a pool of at most jobs
+    processes, and one checkpoint record (k, w, h, row0, counts, reps) to
+    resume from at any jobs.  Only the reps at the best e2 are expanded
+    into argmax pairs (_orbit_keys), once.
     """
     _check_k(k, 2)  # smaller k admit no node pairs
     done = _load_checkpoint(checkpoint, k) if checkpoint else {}
@@ -436,10 +425,14 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
             if checkpoint:
                 _append_checkpoint(checkpoint, k, task, result)
 
-    mirrored = _mirror(_merge(done[w, h, row0] for w, h, row0 in tasks if w < h))
-    shape_count, pair_count, best, arg_keys = _merge([*(done[t] for t in tasks), mirrored])
+    results = [(w, h, done[w, h, row0]) for w, h, row0 in tasks]
+    shape_count = sum((2 if w < h else 1) * r[0] for w, h, r in results)
+    pair_count = sum((2 if w < h else 1) * r[1] for w, h, r in results)
+    best = max(r[2] for _, _, r in results)
     if best < 0 or best % 2:
         raise AssertionError("no evaluable pairs or parity violation")
+    at_best = [(w, h, rep) for w, h, r in results if r[2] == best for rep in r[3]]
+    arg_keys = sorted(set().union(*(_orbit_keys(w, h, *rep) for w, h, rep in at_best)))
     argmax = tuple(
         (
             _shape_from_rows(w, h, tuple(mask >> y * w & (1 << w) - 1 for y in range(h))),
@@ -447,7 +440,7 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
         )
         for w, h, mask, px, py in arg_keys
     )
-    return CkResult(k, best // 2, shape_count, pair_count, len(arg_keys), argmax)
+    return CkResult(k, best // 2, shape_count, pair_count, argmax)
 
 
 def ck_bounds(k: int) -> tuple[int, int]:

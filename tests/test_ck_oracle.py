@@ -3,7 +3,9 @@ kept here as an oracle.
 
 * The unreduced scan: every raw shape of a (W, H) slab builds its
   BarrierShape and runs both corner BFS, each node is one pair, and every
-  node of the best e2 is an argmax key.
+  node of the best e2 is an argmax key.  A reduced scan of a W <= H slab
+  must give the oracle's counts and best for (W, H) and (H, W), and the
+  _orbit_keys images of its reps must be each slab's argmax keys.
 * The row-mask enumerator against brute force: every hole subset of the
   slab that covers each row and column.
 """
@@ -20,8 +22,7 @@ from fssp_holes.shapes import (
     _all_nodes_reach_ring,
     _enlarged_holes,
     _iter_hole_masks,
-    _merge,
-    _mirror,
+    _orbit_keys,
     _scan_shapes,
     _shape_from_rows,
     compute_ck,
@@ -63,14 +64,24 @@ def oracle_slab(width: int, height: int, k: int):
     return scan_every_shape(width, height, _iter_hole_masks(width, height, k))
 
 
-def reduced_slabs(k: int) -> dict:
-    """Every slab's result from the reduced scan: W <= H scanned, W > H mirrored."""
-    out = {}
-    for w in range(1, k + 1):
-        for h in range(w, k + 1):
-            out[(w, h)] = _scan_shapes(w, h, k, None)
-            out[(h, w)] = _mirror(out[(w, h)])
-    return out
+def merge(results):
+    """Sum the counts of scan results and keep the sorted argmax keys or
+    reps of the best e2."""
+    results = list(results)
+    best = max((r[2] for r in results), default=-1)
+    arg = sorted(a for r in results if r[2] == best for a in r[3])
+    return sum(r[0] for r in results), sum(r[1] for r in results), best, arg
+
+
+def check_slab(width, height, result, oracle):
+    """A reduced (W <= H) result against oracle(w, h) of both slabs it covers."""
+    shapes_n, pairs_n, best, reps = result
+    keys = {(width, height): set(), (height, width): set()}
+    for rep in reps:
+        for key in _orbit_keys(width, height, *rep):
+            keys[key[:2]].add(key)
+    for (w, h), got in keys.items():
+        assert (shapes_n, pairs_n, best, sorted(got)) == oracle(w, h), (w, h)
 
 
 def argmax_keys(result):
@@ -78,10 +89,9 @@ def argmax_keys(result):
 
 
 def _check_every_slab(k: int) -> None:
-    reduced = reduced_slabs(k)
-    assert len(reduced) == k * k
-    for (w, h), got in reduced.items():
-        assert got == oracle_slab(w, h, k), (k, w, h)
+    for w in range(1, k + 1):
+        for h in range(w, k + 1):
+            check_slab(w, h, _scan_shapes(w, h, k, None), lambda *s: oracle_slab(*s, k))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -96,7 +106,7 @@ def test_every_slab_matches_the_unreduced_scan_k6():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_row_and_argmax_pairs_match_the_unreduced_scan(k):
-    shapes_n, pairs_n, best, keys = _merge(
+    shapes_n, pairs_n, best, keys = merge(
         oracle_slab(w, h, k) for w in range(1, k + 1) for h in range(1, k + 1)
     )
     r = compute_ck(k)
@@ -108,21 +118,20 @@ def test_row_and_argmax_pairs_match_the_unreduced_scan(k):
 def test_checkpoint_records_match_the_unreduced_scan(tmp_path):
     """One record per (W <= H slab, first-row mask) task.  A record counts
     the orbits whose representative has that first row, so only a slab's
-    records together equal the unreduced scan of the slab, and their
-    _mirror that of the transposed slab."""
+    records together equal the unreduced scan of the slab and of the
+    transposed slab."""
     path = tmp_path / "ck.jsonl"
     compute_ck(5, jobs=2, checkpoint=str(path))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == len({(r["w"], r["h"], r["row0"]) for r in records}) == 51
     for w in range(1, 6):
         for h in range(w, 6):
-            got = _merge(
+            got = merge(
                 (r["shapes"], r["pairs"], r["best"], [tuple(a) for a in r["arg"]])
                 for r in records
                 if (r["w"], r["h"]) == (w, h)
             )
-            assert got == oracle_slab(w, h, 5), (w, h)
-            assert _mirror(got) == oracle_slab(h, w, 5), (h, w)
+            check_slab(w, h, got, lambda *s: oracle_slab(*s, 5))
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -196,9 +205,7 @@ def test_stabilizer_weights_and_images(monkeypatch, name):
         "fssp_holes.shapes._iter_hole_masks", lambda *args: iter(orbit[(w, h)])
     )
     got = _scan_shapes(w, h, shape.k, None)
-    assert got == scan_every_shape(w, h, orbit[(w, h)])
-    if w < h:
-        assert _mirror(got) == scan_every_shape(h, w, orbit[(h, w)])
+    check_slab(w, h, got, lambda *s: scan_every_shape(*s, orbit[s]))
 
 
 # --- the enumerator --------------------------------------------------------

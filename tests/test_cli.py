@@ -6,6 +6,7 @@ import pytest
 
 from fssp_holes.cli import main
 from fssp_holes.grid import dump_ascii, dump_json, validate
+from fssp_holes.shapes import HARD_MAX_K
 from fssp_holes.sim.plan import plan_to_json, worked_instance_plan
 
 
@@ -74,12 +75,16 @@ class TestBadInput:
             (["simulate", "sh1"], '{"size": 1, "holes": []}', "SizeTooSmall"),
             (["ck", "--k", "1"], None, "WrongHoleCount"),
             (["ck", "--k", "0"], None, "WrongHoleCount"),
+            (["ck", "--k", "3", "--jobs", "1", "--checkpoint"],
+             '{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": 1.5, "pairs": 0, '
+             '"best": -1, "arg": []}\n', "ParseError"),
         ],
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
              "extra-row", "not-utf8", "superscript-size", "deep-json", "repeated-hole",
              "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
              "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "ck-jobs-huge", "repro-ks",
-             "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0"],
+             "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0",
+             "ck-checkpoint-float-count"],
     )
     def test_exit_2_with_code(self, tmp_path, capsys, no_process_pool, argv, text, code):
         if text is not None:
@@ -133,7 +138,7 @@ class TestCk:
         }
 
     def test_budget_exit_4(self, capsys):
-        assert main(["ck", "--k", "8"]) == 4
+        assert main(["ck", "--k", str(HARD_MAX_K + 1)]) == 4
 
     def test_checkpoint_for_other_k_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "ck.jsonl")

@@ -219,6 +219,37 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError):
             compute_ck(4, checkpoint=str(path))
 
+    def test_record_of_version_3_fails_closed(self, tmp_path):
+        # v3 records held every in-slab image of each argmax node as [w, h, mask, x, y].
+        path = tmp_path / "ck.jsonl"
+        path.write_text(
+            '{"v": 3, "k": 4, "w": 2, "h": 2, "row0": 1, "shapes": 1, "pairs": 2, "best": 2, '
+            '"arg": [[2, 2, 9, 1, 0]]}\n'
+        )
+        with pytest.raises(CheckpointMismatchError):
+            compute_ck(4, checkpoint=str(path))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shapes", 1.5), ("shapes", "x"), ("pairs", None), ("best", True), ("w", "1"),
+         ("row0", [1]), ("arg", [[1, 2]]), ("arg", [[1, 2, 3, 4]]), ("arg", [[1, 0, 0.0]]),
+         ("arg", ["abc"]), ("arg", 7), ("arg", {"1": 2})],
+    )
+    def test_ill_typed_field_is_a_parse_error(self, tmp_path, no_process_pool, field, value):
+        path = tmp_path / "ck.jsonl"
+        compute_ck(3, checkpoint=str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0][field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ParseError):
+            compute_ck(3, checkpoint=str(path))
+
+    def test_missing_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        path.write_text('{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": 1, "pairs": 0}\n')
+        with pytest.raises(ParseError):
+            compute_ck(3, checkpoint=str(path))
+
     def test_other_k_fails_closed(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         compute_ck(4, checkpoint=path)
