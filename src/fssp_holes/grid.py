@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -44,9 +44,6 @@ class Position(NamedTuple):
 
 # Neighbor offsets in boundary-condition order: east, north, west, south.
 DIRECTIONS = (Position(1, 0), Position(0, 1), Position(-1, 0), Position(0, -1))
-
-NODE = "N"
-HOLE = "H"
 
 BoundaryCondition = tuple[int, int, int, int]
 
@@ -211,42 +208,31 @@ def boundary_condition(cfg: Configuration, v: tuple[int, int]) -> BoundaryCondit
 
 @dataclass(frozen=True)
 class Pattern:
-    """A finite partial map from positions to node/hole labels."""
+    """A region of positions and the holes in it; every other cell of the
+    region is a node."""
 
-    assignments: frozenset[tuple[Position, str]] = field(default_factory=frozenset)
+    domain: frozenset[Position] = frozenset()
+    holes: frozenset[Position] = frozenset()
 
-    @property
-    def domain(self) -> frozenset[Position]:
-        return frozenset(p for p, _ in self.assignments)
-
-    def holes(self) -> frozenset[Position]:
-        return frozenset(p for p, label in self.assignments if label == HOLE)
-
-    def __len__(self) -> int:
-        return len(self.assignments)
+    def __post_init__(self):
+        if not self.holes <= self.domain:
+            raise ValueError("pattern holes must lie in its domain")
 
 
 def pattern_of(cfg: Configuration, region: Iterable[tuple[int, int]]) -> Pattern:
     """The pattern of cfg restricted to region (which must lie inside S_w)."""
-    items = []
-    for p in region:
-        p = Position(*p)
+    domain = frozenset(Position(*p) for p in region)
+    for p in domain:
         if not cfg.in_square(p):
             raise OutOfSquareError(f"{tuple(p)} is outside the {cfg.size}-square")
-        items.append((p, HOLE if p in cfg.holes else NODE))
-    return Pattern(frozenset(items))
+    return Pattern(domain, cfg.holes & domain)
 
 
 def has_pattern(cfg: Configuration, pattern: Pattern) -> bool:
-    """True iff every assignment of the pattern agrees with cfg."""
-    for p, label in pattern.assignments:
-        if label == NODE:
-            if not cfg.is_node(p):
-                return False
-        else:
-            if p not in cfg.holes:
-                return False
-    return True
+    """True iff the pattern's domain lies in the square and cfg has exactly
+    the pattern's holes in it."""
+    domain = pattern.domain
+    return all(map(cfg.in_square, domain)) and cfg.holes & domain == pattern.holes
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,9 @@ from .timebounds import (
 
 @dataclass(frozen=True)
 class HoleTypeProfile:
-    """Region counts of the two holes, all and critical only."""
+    """Region counts of the two holes."""
 
     counts: tuple[int, int, int, int]  # (#U, #V, #W, #X)
-    critical_in: tuple[int, int, int, int]
 
     @property
     def in_uvw(self) -> int:
@@ -56,8 +55,7 @@ def type_of(cfg: Configuration) -> HoleTypeProfile:
     fam = regions(cfg.size)
     sets = (fam.U, fam.V, fam.W, fam.X)
     counts = tuple(sum(1 for h in cfg.holes if h in s) for s in sets)
-    crit = tuple(sum(1 for h in cfg.holes if h in s and is_critical(h)) for s in sets)
-    return HoleTypeProfile(counts, crit)  # type: ignore[arg-type]
+    return HoleTypeProfile(counts)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def _transpose_plan(plan: MessagePlan) -> MessagePlan:
         plan.target_size,
         plan.slack,
         tuple(tuple((flip(site), off) for site, off in group) for group in plan.groups),
-        Pattern(frozenset((flip(p), lbl) for p, lbl in plan.pattern.assignments)),
+        Pattern(frozenset(map(flip, plan.pattern.domain)), frozenset(map(flip, plan.pattern.holes))),
     )
 
 

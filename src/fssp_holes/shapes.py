@@ -342,13 +342,33 @@ def _orbit_keys(width: int, height: int, mask: int, x: int, y: int) -> set:
     }
 
 
+def _check_record_ranges(k: int, w: int, h: int, row0: int, shapes: int, pairs: int,
+                         best: int, reps: list) -> None:
+    """Raise ValueError unless a record holds values a scan of its task can
+    return: a W <= H slab of this k and a nonzero first row, counts >= 0,
+    best -1 (exactly when there are no reps) or even, and each rep a hole
+    mask of the slab with that first row and a node (x, y) of it."""
+    if not (1 <= w <= h <= k and 0 < row0 < 1 << w):
+        raise ValueError(f"no task ({w}, {h}, {row0}) for k={k}")
+    if shapes < 0 or pairs < 0:
+        raise ValueError("a count is negative")
+    if not (best == -1 or best >= 0 and best % 2 == 0) or (best == -1) != (not reps):
+        raise ValueError(f"best {best} is not -1 or even, or does not fit {len(reps)} reps")
+    for mask, x, y in reps:
+        if not (0 <= x < w and 0 <= y < h and 0 <= mask < 1 << w * h):
+            raise ValueError(f"rep {[mask, x, y]} is outside the {w}x{h} slab")
+        if mask & (1 << w) - 1 != row0 or mask >> y * w + x & 1:
+            raise ValueError(f"rep {[mask, x, y]} has another first row or a hole at its node")
+
+
 def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult]:
     """Completed (w, h, row0) tasks of a checkpoint file written for this k.
 
     A last line without its newline is an interrupted write: it is dropped
     and the file is cut back to the last newline, so its task is rescanned.
     A record for another k or format version fails closed, and so does a
-    record of this k and version with a missing or non-integer field.
+    record of this k and version with a missing, non-integer or
+    out-of-range field.
     """
     try:
         with open(path, "rb") as fh:
@@ -370,6 +390,7 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
                 fields = chain(task, counts, *reps)
                 if any(len(rep) != 3 for rep in reps) or any(type(v) is not int for v in fields):
                     raise ValueError("a field is not an integer or a rep is not [mask, x, y]")
+                _check_record_ranges(k, *task, *counts, reps)
                 done[task] = (*counts, reps)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"{path}:{n}: malformed checkpoint record: {exc}") from exc

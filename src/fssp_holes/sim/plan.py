@@ -60,7 +60,7 @@ class MessagePlan:
             for site, off in group:
                 if off < 0:
                     raise ValueError("message offsets must be nonnegative")
-                if (site, "H") in self.pattern.assignments:
+                if site in self.pattern.holes:
                     raise ValueError(f"site {tuple(site)} is a hole under the pattern")
 
     @property
@@ -145,7 +145,7 @@ class PlanCheckReport:
 def pattern_completions(plan: MessagePlan, k: int) -> list[Configuration]:
     """All valid configurations of the target size with k holes and the pattern."""
     w = plan.target_size
-    pinned = plan.pattern.holes()
+    pinned = plan.pattern.holes
     free = k - len(pinned)
     if free < 0:
         return []
@@ -184,7 +184,7 @@ def _critical_pair_completion(plan: MessagePlan) -> frozenset[Position] | None:
     """
     w = plan.target_size
     domain = plan.pattern.domain
-    pinned = sorted(plan.pattern.holes())
+    pinned = sorted(plan.pattern.holes)
 
     def interior(p: Position) -> bool:
         return 1 <= p.x < w and 1 <= p.y < w
@@ -256,8 +256,8 @@ def plan_to_json(plan: MessagePlan) -> str:
             [[[site.x, site.y], off] for site, off in group] for group in plan.groups
         ],
         "pattern": {
-            "nodes": sorted([p.x, p.y] for p, lbl in plan.pattern.assignments if lbl == "N"),
-            "holes": sorted([p.x, p.y] for p, lbl in plan.pattern.assignments if lbl == "H"),
+            "nodes": sorted([p.x, p.y] for p in plan.pattern.domain - plan.pattern.holes),
+            "holes": sorted([p.x, p.y] for p in plan.pattern.holes),
         },
     }
     return json.dumps(doc, separators=(", ", ": "))
@@ -277,9 +277,10 @@ def plan_from_json(text: str | bytes) -> MessagePlan:
         nodes, holes = doc["pattern"]["nodes"], doc["pattern"]["holes"]
         if not _only_ints([doc["target_size"], doc["slack"], doc["groups"], nodes, holes]):
             raise TypeError("sizes, offsets and coordinates must be integers")
-        pattern = Pattern(
-            frozenset([(Position(*p), "N") for p in nodes] + [(Position(*p), "H") for p in holes])
-        )
+        nodes, holes = (frozenset(Position(*p) for p in cells) for cells in (nodes, holes))
+        if nodes & holes:
+            raise ValueError(f"cells {sorted(map(tuple, nodes & holes))} are nodes and holes")
+        pattern = Pattern(nodes | holes, holes)
         groups = tuple(
             tuple((Position(*site), off) for site, off in group) for group in doc["groups"]
         )
@@ -295,11 +296,10 @@ def worked_instance_plan() -> MessagePlan:
     "holes at (1,1), (2,1), (3,1)"; fires its one admissible configuration
     at exactly 14.
     """
-    holes = [(1, 1), (2, 1), (3, 1)]
-    pattern = Pattern(frozenset((Position(*h), "H") for h in holes))
+    holes = frozenset(Position(x, 1) for x in (1, 2, 3))
     return MessagePlan(
         target_size=7,
         slack=0,
         groups=(((Position(3, 0), 0),),),
-        pattern=pattern,
+        pattern=Pattern(holes, holes),
     )

@@ -182,6 +182,11 @@ class ChainStep:
     moved_to: Position
 
 
+def _relocate(cfg: Configuration, step: ChainStep) -> Configuration:
+    """cfg with the step's hole moved; raises ValidationError if that is invalid."""
+    return validate(cfg.size, (cfg.holes - {step.moved_from}) | {Position(*step.moved_to)})
+
+
 @dataclass(frozen=True)
 class CertificateChain:
     """A sequence of pattern-preserving single-hole relocations ending in a
@@ -189,10 +194,17 @@ class CertificateChain:
 
     initial: Configuration
     steps: tuple[ChainStep, ...]
-    final: Configuration
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @property
+    def final(self) -> Configuration:
+        """The configuration the steps lead to, replayed from initial."""
+        cfg = self.initial
+        for step in self.steps:
+            cfg = _relocate(cfg, step)
+        return cfg
 
 
 @lru_cache(maxsize=16)
@@ -263,7 +275,7 @@ def certificate_search_report(
     if cfg.k != 2:
         raise WrongHoleCountError(f"certificate search needs exactly 2 holes, got {cfg.k}")
     if has_critical_pair(cfg):
-        return CertificateChain(cfg, (), cfg), "immediate"
+        return CertificateChain(cfg, ()), "immediate"
     w = cfg.size
     planes, outside, partners = _move_tables(w)
     start = tuple(sorted(cfg.holes))
@@ -274,13 +286,11 @@ def certificate_search_report(
         for state in level:
             last = _closing_move(state, planes, partners)
             if last is not None:
-                stay = state[1] if state[0] == last.moved_from else state[0]
-                final = validate(w, [stay, last.moved_to])
                 steps = [last]
                 while parent[state] is not None:
                     state, *step = parent[state]
                     steps.append(ChainStep(*step))
-                return CertificateChain(cfg, tuple(reversed(steps)), final), "found"
+                return CertificateChain(cfg, tuple(reversed(steps))), "found"
         nxt = []
         for state in level:
             for moved, stay in (state, state[::-1]):
@@ -308,11 +318,10 @@ def verify_certificate(chain: CertificateChain, check_equiv: bool = False) -> bo
     cfg = chain.initial
     w = cfg.size
     for step in chain.steps:
-        if step.moved_from not in cfg.holes:
+        if step.moved_from not in cfg.holes or step.moved_to in cfg.holes:
             return False
-        new_holes = (cfg.holes - {step.moved_from}) | {Position(*step.moved_to)}
         try:
-            nxt = validate(w, new_holes)
+            nxt = _relocate(cfg, step)
         except ValidationError:
             return False
         plane = half_plane_set(w, step.half_plane)
@@ -325,4 +334,4 @@ def verify_certificate(chain: CertificateChain, check_equiv: bool = False) -> bo
             if not equiv_prime(cfg, nxt, 2 * w, corner):
                 return False
         cfg = nxt
-    return cfg == chain.final and has_critical_pair(cfg)
+    return has_critical_pair(cfg)

@@ -118,8 +118,8 @@ def test_direct_c1_matches_enumeration_on_witness_plans(configs):
 
 
 def _plan(w, nodes=(), holes=()):
-    assignments = [(Position(*p), "N") for p in nodes] + [(Position(*p), "H") for p in holes]
-    return MessagePlan(w, 0, (), Pattern(frozenset(assignments)))
+    holes = frozenset(Position(*p) for p in holes)
+    return MessagePlan(w, 0, (), Pattern(holes | {Position(*p) for p in nodes}, holes))
 
 
 @pytest.mark.parametrize(

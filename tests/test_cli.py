@@ -78,13 +78,16 @@ class TestBadInput:
             (["ck", "--k", "3", "--jobs", "1", "--checkpoint"],
              '{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": 1.5, "pairs": 0, '
              '"best": -1, "arg": []}\n', "ParseError"),
+            (["ck", "--k", "3", "--jobs", "1", "--checkpoint"],
+             '{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": -5, "pairs": 0, '
+             '"best": -1, "arg": []}\n', "ParseError"),
         ],
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
              "extra-row", "not-utf8", "superscript-size", "deep-json", "repeated-hole",
              "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
              "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "ck-jobs-huge", "repro-ks",
              "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0",
-             "ck-checkpoint-float-count"],
+             "ck-checkpoint-float-count", "ck-checkpoint-negative-count"],
     )
     def test_exit_2_with_code(self, tmp_path, capsys, no_process_pool, argv, text, code):
         if text is not None:
@@ -98,6 +101,16 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert code in captured.out + captured.err
         assert "Traceback" not in captured.err
+
+    def test_plan_cell_both_node_and_hole_exit_2(self, cfg_file, tmp_path, capsys):
+        cfg_path = cfg_file("a.json", validate(7, [(1, 1), (2, 1), (3, 1)]))
+        doc = json.loads(plan_to_json(worked_instance_plan()))
+        doc["pattern"]["nodes"].append([1, 1])
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        assert main(["simulate", "plan", cfg_path, str(plan_path)]) == 2
+        captured = capsys.readouterr()
+        assert "ParseError" in captured.err and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("cmd", ["validate", "classify"])
     def test_directory_argument_exit_2(self, tmp_path, capsys, cmd):

@@ -105,6 +105,8 @@ def pool(tmp_path_factory):
         put("plan-float-site.json", json.dumps({**plan_doc, "groups": [[[[3.5, 0], 0]]]})),
         put("plan-deep.json", '{"groups": ' + "[" * 100_000),
         put("plan-negative-slack.json", json.dumps({**plan_doc, "slack": -1})),
+        put("plan-node-and-hole.json", json.dumps(
+            {**plan_doc, "pattern": {**plan_doc["pattern"], "nodes": [[1, 1]]}})),
     ]
     checkpoints = [str(d / "ck.jsonl"), put("ck-garbage.jsonl", "not json\n"), str(d)]
     return {"configs": configs, "plans": plans, "--checkpoint": checkpoints}

@@ -12,6 +12,7 @@ from fssp_holes.errors import (
 )
 from fssp_holes.grid import (
     MAX_SIZE,
+    Pattern,
     Position,
     bfs_distance,
     boundary_condition,
@@ -123,15 +124,19 @@ class TestBoundaryCondition:
 class TestPatterns:
     def test_empty_region(self):
         cfg = validate(12, [(5, 7), (9, 2)])
-        assert len(pattern_of(cfg, [])) == 0
+        assert pattern_of(cfg, []) == Pattern()
 
     def test_region_lookup(self):
         cfg = validate(12, [(5, 7), (9, 2)])
         fam = regions(12)
         pat_uv = pattern_of(cfg, fam.UV)
-        assert all(lbl == "N" for _, lbl in pat_uv.assignments)
+        assert pat_uv.domain == fam.UV and not pat_uv.holes
         pat_w = pattern_of(cfg, fam.W)
-        assert pat_w.holes() == {Position(5, 7)}
+        assert pat_w.domain == fam.W and pat_w.holes == {Position(5, 7)}
+
+    def test_holes_must_lie_in_the_domain(self):
+        with pytest.raises(ValueError):
+            Pattern(frozenset({Position(1, 1)}), frozenset({Position(1, 2)}))
 
     def test_has_pattern(self):
         cfg = validate(12, [(5, 7), (9, 2)])

@@ -1,19 +1,30 @@
-"""Property tests of the configuration file formats and the CLI's exit-code
-contract on malformed files.
+"""Property tests of the configuration and plan file formats and the CLI's
+exit-code contract on malformed files.
 
-Round trips through JSON and ASCII are bit-exact.  A malformed file makes
-`fssp-holes validate` exit 2 with an error code, never a traceback; the
-mutations below are each guaranteed to break the file.
+Round trips through JSON and ASCII are bit-exact, and so are plan files.  A
+malformed file makes `fssp-holes validate` exit 2 with an error code, never
+a traceback; the mutations below are each guaranteed to break the file.
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fssp_holes.cli import main
-from fssp_holes.errors import ValidationError
-from fssp_holes.grid import dump_ascii, dump_json, load_ascii, load_config_file, load_json, validate
+from fssp_holes.errors import ParseError, ValidationError
+from fssp_holes.grid import (
+    Pattern,
+    Position,
+    dump_ascii,
+    dump_json,
+    load_ascii,
+    load_config_file,
+    load_json,
+    validate,
+)
+from fssp_holes.sim.plan import MessagePlan, plan_from_json, plan_to_json
 
 
 @st.composite
@@ -52,6 +63,33 @@ def test_file_round_trip(tmp_path_factory, cfg, ascii_form):
     text = dump_ascii(cfg) if ascii_form else dump_json(cfg)
     path.write_text(text, encoding="utf-8")
     assert load_config_file(str(path)) == cfg
+
+
+@st.composite
+def plans(draw):
+    """A plan whose pattern labels each of its cells a node or a hole, not both."""
+    w = draw(st.integers(1, 14))
+    cell = st.builds(Position, st.integers(-1, w + 1), st.integers(-1, w + 1))
+    is_hole = draw(st.dictionaries(cell, st.booleans(), max_size=12))
+    holes = frozenset(p for p, hole in is_hole.items() if hole)
+    site = st.tuples(cell.filter(lambda p: p not in holes), st.integers(0, 5))
+    groups = draw(st.lists(st.lists(site, min_size=1, max_size=3).map(tuple), max_size=3))
+    return MessagePlan(w, draw(st.integers(0, 3)), tuple(groups), Pattern(frozenset(is_hole), holes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans(), st.data())
+def test_plan_round_trip(plan, data):
+    text = plan_to_json(plan)
+    back = plan_from_json(text)
+    assert back == plan and plan_to_json(back) == text
+    if plan.pattern.holes:
+        # The same cell listed as a node and as a hole contradicts itself.
+        hole = data.draw(st.sampled_from(sorted(plan.pattern.holes)))
+        doc = json.loads(text)
+        doc["pattern"]["nodes"].append(list(hole))
+        with pytest.raises(ParseError):
+            plan_from_json(json.dumps(doc))
 
 
 # Text added by a mutation never holds a digit, so a mutated size stays small.

@@ -26,7 +26,6 @@ class TestTypeOf:
         assert type_of(validate(12, [(8, 2), (2, 8)])).counts == (0, 0, 0, 2)
         profile = type_of(validate(12, [(5, 7), (9, 2)]))
         assert profile.counts == (0, 0, 1, 1)
-        assert profile.critical_in[2] == 1
         assert type_of(validate(12, [(3, 3), (8, 8)])).counts == (1, 0, 0, 1)
 
     def test_wrong_hole_count(self):

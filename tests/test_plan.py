@@ -147,5 +147,5 @@ class TestPlanJson:
                 5,
                 0,
                 (((Position(1, 1), 0),),),
-                Pattern(frozenset({(Position(1, 1), "H")})),
+                Pattern(frozenset({Position(1, 1)}), frozenset({Position(1, 1)})),
             )

@@ -244,6 +244,27 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             compute_ck(3, checkpoint=str(path))
 
+    # Record 6 of k=3 is the (2, 3) slab with row0 1, best 2 and five reps,
+    # the first [37, 0, 2]; record 0 is the (1, 1) slab with best -1 and no reps.
+    @pytest.mark.parametrize(
+        "index, field, value",
+        [(6, "shapes", -5), (6, "pairs", -1), (6, "best", -7), (6, "best", 3), (6, "best", -1),
+         (0, "best", 0), (6, "arg", []), (6, "arg", [[37, 2, 0]]), (6, "arg", [[37, 0, 3]]),
+         (6, "arg", [[37, -1, 0]]), (6, "arg", [[-1, 0, 2]]), (6, "arg", [[37 | 1 << 6, 0, 2]]),
+         (6, "arg", [[38, 0, 0]]), (6, "arg", [[37, 0, 0]]), (6, "w", 4), (6, "h", 1),
+         (6, "row0", 0), (6, "row0", 4)],
+    )
+    def test_out_of_range_field_is_a_parse_error(self, tmp_path, no_process_pool, index, field,
+                                                 value):
+        path = tmp_path / "ck.jsonl"
+        compute_ck(3, checkpoint=str(path))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records[6]["arg"][0] == [37, 0, 2] and not records[0]["arg"]
+        records[index][field] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ParseError):
+            compute_ck(3, checkpoint=str(path))
+
     def test_missing_field_is_a_parse_error(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         path.write_text('{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": 1, "pairs": 0}\n')

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from fssp_holes.errors import (
@@ -7,6 +9,8 @@ from fssp_holes.errors import (
 )
 from fssp_holes.grid import Position, validate
 from fssp_holes.timebounds import (
+    CertificateChain,
+    ChainStep,
     certificate_search_report,
     critical_holes,
     critical_pair_theorem_check,
@@ -191,3 +195,41 @@ class TestCertificates:
                 assert verify_certificate(chain)
                 found += 1
         assert found > 0
+
+    def test_chain_holds_its_start_and_steps(self):
+        chain, _ = certificate_search_report(validate(12, [(10, 3), (3, 10)]))
+        assert [f.name for f in dataclasses.fields(chain)] == ["initial", "steps"]
+        assert chain == _chain([(10, 3), (3, 10)], TWO_STEPS)
+        assert chain.final == validate(12, [(7, 9), (8, 10)])
+
+
+def _chain(holes, steps):
+    steps = tuple(ChainStep(name, Position(*a), Position(*b)) for name, a, b in steps)
+    return CertificateChain(validate(12, holes), steps)
+
+
+# The shortest chain from holes (10, 3), (3, 10) at w=12.  H1 is x <= 7,
+# H2 is y <= 7 and H0 is x + y <= 13.
+TWO_STEPS = [("H2", (3, 10), (7, 9)), ("H1", (10, 3), (8, 10))]
+
+
+@pytest.mark.parametrize(
+    "holes, steps",
+    [
+        ([(10, 3), (3, 10)], [("H2", (4, 10), (7, 9)), TWO_STEPS[1]]),
+        ([(10, 3), (3, 10)], [("H1", (3, 10), (7, 9)), TWO_STEPS[1]]),
+        ([(6, 4), (10, 10)], [("H0", (10, 10), (7, 5))]),
+        ([(10, 3), (3, 10)], [("H2", (3, 10), (7, 12)), TWO_STEPS[1]]),
+        ([(10, 10), (11, 9)], [("H0", (10, 10), (11, 9))]),
+        # Every other check passes: a merge of two of three holes leaves
+        # the critical pair (7, 9), (8, 10).
+        ([(7, 9), (10, 10), (11, 9)], [("H0", (11, 9), (10, 10)), ("H0", (10, 10), (8, 10))]),
+        ([(10, 3), (3, 10)], TWO_STEPS[:1]),
+    ],
+    ids=["source-not-a-hole", "source-in-half-plane", "target-in-half-plane", "onto-boundary",
+         "onto-other-hole", "merge-into-a-pair", "one-step-short"],
+)
+def test_tampered_chain_is_rejected(holes, steps):
+    chain = _chain(holes, steps)
+    assert not verify_certificate(chain)
+    assert not verify_certificate(chain, check_equiv=True)
