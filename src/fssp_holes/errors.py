@@ -90,3 +90,10 @@ class NotUpperBoundCaseError(FsspError, ValueError):
 
 class PreconditionViolatedError(FsspError, ValueError):
     code = "PreconditionViolated"
+
+
+class BoundViolatedError(FsspError):
+    """A distance-bound violation that matches none of the four exception
+    geometries: a counterexample to the appendix theorem, not bad input."""
+
+    code = "BoundViolated"

@@ -1,5 +1,9 @@
 """Core geometry: positions, configurations, distances, patterns, regions.
 
+Distances come two ways: _bfs builds a full distance field (distance_grid),
+and the free-mask engine (free_mask, layers, ball) answers threshold
+questions with one big int per configuration.
+
 Coordinates follow one convention everywhere: origin (0, 0) at the general
 in the southwest corner, x grows to the east, y grows to the north.  A
 configuration of size w lives on the (w+1) x (w+1) square of positions
@@ -12,7 +16,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     BoundaryHoleError,
@@ -177,6 +181,81 @@ def distance_grid(cfg: Configuration, source: Position) -> tuple[int, ...]:
     w1 = cfg.size + 1
     holes = [h.x * w1 + h.y for h in cfg.holes]
     return tuple(_bfs(w1, w1, holes, source[0] * w1 + source[1]))
+
+
+# ---------------------------------------------------------------------------
+# Free masks: one int per configuration for threshold questions
+#
+# Node (x, y) is bit x * stride + y, with stride >= w + 2: every column ends
+# in a zero guard bit, so bit order is nodes() order, a +-1 shift (north,
+# south) never wraps into the next column, and a +-stride shift moves east or
+# west.  A BFS layer is then a few big-int operations, which answers "is
+# d <= r?" for every node at once.  Full distance fields stay with _bfs.
+
+
+@lru_cache(maxsize=64)
+def _square_mask(size: int, stride: int) -> int:
+    """Every position of S_size, as bits x * stride + y."""
+    column = (1 << (size + 1)) - 1
+    return sum(column << x * stride for x in range(size + 1))
+
+
+def free_mask(cfg: Configuration, stride: int | None = None) -> int:
+    """The nodes of cfg as bits x * stride + y; the stride defaults to w + 2.
+
+    Encode two configurations with one stride (at least the larger w + 2)
+    to compare them bit by bit.
+    """
+    s = cfg.size + 2 if stride is None else stride
+    if s < cfg.size + 2:
+        raise ValueError(f"stride {s} leaves no guard bit for w={cfg.size}")
+    holes = bytearray(((cfg.size + 1) * s + 7) // 8)
+    for h in cfg.holes:
+        i = h.x * s + h.y
+        holes[i >> 3] |= 1 << (i & 7)
+    return _square_mask(cfg.size, s) & ~int.from_bytes(holes, "little")
+
+
+def node_bit(cfg: Configuration, p: tuple[int, int], stride: int) -> int:
+    """The single-bit mask of node p, or NotANodeError."""
+    if not cfg.is_node(p):
+        raise NotANodeError(f"{tuple(p)} is not a node of the configuration")
+    return 1 << (p[0] * stride + p[1])
+
+
+def bits_set(mask: int, stride: int, cells: Iterable[tuple[int, int]]) -> list[bool]:
+    """Whether each cell's bit is set in mask, in the order of cells.
+
+    One pass over the mask's binary digits, not one shift per cell, which
+    would cost time growing as w^4.
+    """
+    digits = format(mask, "b")[::-1]  # bit i is digits[i]
+    return [digits[x * stride + y : x * stride + y + 1] == "1" for x, y in cells]
+
+
+def layers(free: int, stride: int, start: int) -> Iterator[int]:
+    """BFS layers of a free mask from a start mask inside it.
+
+    Layer i holds the nodes at distance i from the nearest start node.  The
+    iteration ends at the first empty frontier, so it never runs longer than
+    the node count, whatever radius a caller asks for.
+    """
+    unseen = free & ~start
+    frontier = start
+    while frontier:
+        yield frontier
+        frontier = (
+            frontier << 1 | frontier >> 1 | frontier << stride | frontier >> stride
+        ) & unseen
+        unseen ^= frontier
+
+
+def ball(free: int, stride: int, start: int, r: int) -> int:
+    """Nodes within distance r of the start mask; empty for r < 0."""
+    out = 0
+    for _, layer in zip(range(r + 1), layers(free, stride, start)):
+        out |= layer
+    return out
 
 
 def bfs_distance(cfg: Configuration, a: tuple[int, int], b: tuple[int, int]) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BoundViolatedError,
     NotUpperBoundCaseError,
     PreconditionViolatedError,
     SizeTooSmallError,
@@ -245,7 +246,7 @@ def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, in
 
     Every violation matches exactly one of the four listed hole/corner
     geometries; a violation matching none would falsify the distance bound
-    and raises AssertionError.
+    and raises BoundViolatedError.
     """
     w = cfg.size
     if w < 5 or cfg.k != 2:
@@ -283,6 +284,6 @@ def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, in
         and v2 in {Position(1, 0), Position(0, 1), Position(0, 0)}
     ):
         return "Exception4"
-    raise AssertionError(
+    raise BoundViolatedError(
         f"distance bound violated outside the four exceptions: v={tuple(v)}, v'={tuple(v2)}, {cfg}"
     )

@@ -15,7 +15,6 @@ nodes are willing.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 from ..errors import (
@@ -29,9 +28,12 @@ from ..grid import (
     Configuration,
     Pattern,
     Position,
-    distance_grid,
+    ball,
+    bits_set,
+    free_mask,
     has_pattern,
     mh_distance,
+    node_bit,
     validate,
 )
 from ..timebounds import is_critical
@@ -68,17 +70,16 @@ class MessagePlan:
         return 2 * self.target_size + self.slack
 
 
-def _arrivals(cfg: Configuration, site: Position, off: int) -> list[float]:
-    """Arrival time, per node index, of the message born at site with offset off."""
-    birth = mh_distance(V_GEN, site) + off
-    return [birth + d if d >= 0 else math.inf for d in distance_grid(cfg, site)]
-
-
 def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
     """Simulate the plan on cfg: simultaneous firing at the deadline or none.
 
     The transcript's diagnostics carry the per-node willingness map, so a
     plan that reaches only part of the square is visible as such.
+
+    A message born at time b reaches a node by the deadline exactly when the
+    node lies in the ball of radius deadline - b around its site, so the
+    willing nodes are one free-mask expression: the size-check balls around
+    the far corners, and the OR over groups of the AND over sites.
     """
     deadline = plan.deadline
     nodes = list(cfg.nodes())
@@ -86,19 +87,23 @@ def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
     msgs_exist = size_ok and has_pattern(cfg, plan.pattern)
     if msgs_exist:
         w = cfg.size
-        # ready[i]: when node i holds a size-check message and, if the plan
-        # has groups, every message of its earliest complete group.
-        ready = [
-            w + min(a, b)
-            for a, b in zip(distance_grid(cfg, Position(0, w)), distance_grid(cfg, Position(w, 0)))
+        s = w + 2
+        free = free_mask(cfg)
+        sites = [
+            [(node_bit(cfg, site, s), mh_distance(V_GEN, site) + off) for site, off in group]
+            for group in plan.groups
         ]
-        if plan.groups:
-            groups = [
-                [max(t) for t in zip(*(_arrivals(cfg, site, off) for site, off in group))]
-                for group in plan.groups
-            ]
-            ready = [max(r, min(g)) for r, *g in zip(ready, *groups)]
-        willing = {v: ready[cfg.index(v)] <= deadline for v in nodes}
+        corners = node_bit(cfg, (0, w), s) | node_bit(cfg, (w, 0), s)
+        ready = ball(free, s, corners, deadline - w)
+        if sites:
+            covered = 0
+            for group in sites:
+                both = free
+                for bit, birth in group:
+                    both &= ball(free, s, bit, deadline - birth)
+                covered |= both
+            ready &= covered
+        willing = dict(zip(nodes, bits_set(ready, s, nodes)))
     else:
         willing = dict.fromkeys(nodes, False)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 
 from .barriers import Rect, barrier_containing
 from .errors import (
@@ -25,8 +27,9 @@ from .grid import (
     V_GEN,
     Configuration,
     Position,
-    boundary_condition,
-    distance_grid,
+    free_mask,
+    layers,
+    node_bit,
     regions,
     validate,
     via_distance,
@@ -58,17 +61,16 @@ def t_of(cfg: Configuration, v: tuple[int, int]) -> int:
 
 
 def max_t(cfg: Configuration) -> int:
-    """max_v T(v, C); always at least 2w."""
+    """max_v T(v, C); always at least 2w.
+
+    T(v, C) - w is the distance from v to the nearer far corner, so max_t is
+    w plus the smallest r at which the balls of radius r around (0, w) and
+    (w, 0) together cover every node: the last BFS layer from both corners.
+    """
     w = cfg.size
-    d_nw = distance_grid(cfg, Position(0, w))
-    d_se = distance_grid(cfg, Position(w, 0))
-    best = 0
-    for v in cfg.nodes():
-        i = cfg.index(v)
-        t = min(d_nw[i], d_se[i])
-        if t > best:
-            best = t
-    return w + best
+    s = w + 2
+    corners = node_bit(cfg, (0, w), s) | node_bit(cfg, (w, 0), s)
+    return w + sum(1 for _ in layers(free_mask(cfg), s, corners)) - 1
 
 
 def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
@@ -128,18 +130,6 @@ def critical_pair_theorem_check(cfg: Configuration) -> bool:
     return result
 
 
-def _reach_set(cfg: Configuration, v: Position, t: int) -> list[Position]:
-    """Nodes on some general-to-v walk of length <= t in cfg."""
-    d_gen = distance_grid(cfg, V_GEN)
-    d_v = distance_grid(cfg, v)
-    out = []
-    for u in cfg.nodes():
-        i = cfg.index(u)
-        if d_gen[i] >= 0 and d_v[i] >= 0 and d_gen[i] + d_v[i] <= t:
-            out.append(u)
-    return out
-
-
 def equiv_prime(
     cfg_a: Configuration, cfg_b: Configuration, t: int, v: tuple[int, int]
 ) -> bool:
@@ -148,16 +138,27 @@ def equiv_prime(
     A node lies on some length-<=t walk from the general to v exactly when
     its two-leg distance sum is <= t; every such node must exist in the other
     configuration with an identical boundary condition, both ways around.
+
+    On free masks of one stride: the reach mask is the OR over i of the
+    general's layer i and v's ball of radius t - i.  A node's boundary
+    conditions agree exactly when no neighbor bit differs between the two
+    masks.
     """
     v = Position(*v)
-    for src, dst in ((cfg_a, cfg_b), (cfg_b, cfg_a)):
-        if not src.is_node(v) or not dst.is_node(v):
-            raise NotANodeError(f"{tuple(v)} must be a node of both configurations")
-        for u in _reach_set(src, v, t):
-            if not dst.is_node(u):
-                return False
-            if boundary_condition(src, u) != boundary_condition(dst, u):
-                return False
+    if not cfg_a.is_node(v) or not cfg_b.is_node(v):
+        raise NotANodeError(f"{tuple(v)} must be a node of both configurations")
+    s = max(cfg_a.size, cfg_b.size) + 2
+    free_a, free_b = free_mask(cfg_a, s), free_mask(cfg_b, s)
+    diff = free_a ^ free_b
+    neighbor_differs = diff << 1 | diff >> 1 | diff << s | diff >> s
+    v_bit = node_bit(cfg_a, v, s)
+    for src, dst in ((free_a, free_b), (free_b, free_a)):
+        balls_v = list(accumulate(layers(src, s, v_bit), or_))
+        reach = 0
+        for i, layer in zip(range(t + 1), layers(src, s, 1)):
+            reach |= layer & balls_v[min(t - i, len(balls_v) - 1)]
+        if reach & ~dst or reach & neighbor_differs:
+            return False
     return True
 
 

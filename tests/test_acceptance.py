@@ -17,11 +17,15 @@ from fssp_holes.barriers import (
     maximal_barriers,
     maximal_barriers_bruteforce,
 )
+from fssp_holes.errors import BoundViolatedError
 from fssp_holes.grid import (
     Position,
+    ball,
     boundary_condition,
     distance_grid,
+    free_mask,
     mh_distance,
+    node_bit,
     regions,
     validate,
 )
@@ -279,30 +283,38 @@ def _exception_instances(cfg, fam):
 
 
 def test_criterion_10_appendix_sweep():
+    """For every (configuration, v) the violations are the nodes outside the
+    ball of radius 2w - mh(gen, v) around v; each must name its exception,
+    and each exception instance must be a violation."""
     bad = []
     for w in (11, 12):
         fam = regions(w)
         uv_positions = sorted(fam.UV)
+        s = w + 2
         for cfg in _two_hole_configs(w):
             instances = {(v, Position(*p)): name for v, p, name in _exception_instances(cfg, fam)}
+            free = free_mask(cfg)
+            violations = {}
             for v in uv_positions:
                 if not cfg.is_node(v):
                     continue
-                base = mh_distance((0, 0), v)
-                dist = distance_grid(cfg, v)
-                for v2 in cfg.nodes():
-                    violated = base + dist[cfg.index(v2)] > 2 * w
+                outside = free & ~ball(free, s, node_bit(cfg, v, s), 2 * w - mh_distance((0, 0), v))
+                violations[v] = outside
+                while outside:
+                    low = outside & -outside
+                    outside ^= low
+                    v2 = Position(*divmod(low.bit_length() - 1, s))
                     matched = instances.get((v, v2))
-                    if violated:
-                        try:
-                            got = thm_appendix_check(cfg, v, v2)
-                        except AssertionError:
-                            bad.append((w, sorted(map(tuple, cfg.holes)), tuple(v), tuple(v2), "unmatched"))
-                            continue
-                        if got != matched:
-                            bad.append((w, sorted(map(tuple, cfg.holes)), tuple(v), tuple(v2), got, matched))
-                    elif matched is not None:
-                        bad.append((w, sorted(map(tuple, cfg.holes)), tuple(v), tuple(v2), "no-violation"))
+                    try:
+                        got = thm_appendix_check(cfg, v, v2)
+                    except BoundViolatedError:
+                        bad.append((w, sorted(map(tuple, cfg.holes)), tuple(v), tuple(v2), "unmatched"))
+                        continue
+                    if got != matched:
+                        bad.append((w, sorted(map(tuple, cfg.holes)), tuple(v), tuple(v2), got, matched))
+            for v, v2 in instances:
+                if not violations[v] & node_bit(cfg, v2, s):
+                    bad.append((w, sorted(map(tuple, cfg.holes)), tuple(v), tuple(v2), "no-violation"))
             if len(bad) > 5:
                 break
         if len(bad) > 5:

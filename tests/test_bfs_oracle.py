@@ -1,18 +1,31 @@
-"""The one grid BFS kernel against a plain dict-based BFS.
+"""The grid distance engines against a plain dict-based BFS.
 
 distance_grid (configurations) and d0_d1 (enlarged rectangles of barrier
-shapes) both run on grid._bfs; each is compared here with an independent
-breadth-first search over explicit cell sets.
+shapes) both run on grid._bfs; the free-mask engine (free_mask, layers,
+ball), and max_t on it, answer threshold questions with big ints.  Each is
+compared here with an independent breadth-first search over explicit cell
+sets.
 """
 
 from collections import deque
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fssp_holes.errors import ValidationError
-from fssp_holes.grid import Position, _bfs, distance_grid, validate
+from fssp_holes.grid import (
+    Position,
+    _bfs,
+    ball,
+    bits_set,
+    distance_grid,
+    free_mask,
+    layers,
+    validate,
+)
 from fssp_holes.shapes import d0_d1, enumerate_shapes
+from fssp_holes.timebounds import max_t
 
 SHAPES = list(enumerate_shapes(5))
 
@@ -31,8 +44,8 @@ def oracle_bfs(cells: set, source) -> dict:
 
 
 @st.composite
-def configurations(draw):
-    w = draw(st.integers(2, 12))
+def configurations(draw, max_w=12):
+    w = draw(st.integers(2, max_w))
     interior = st.tuples(st.integers(1, w - 1), st.integers(1, w - 1))
     holes = draw(st.lists(interior, max_size=min(6, (w - 1) ** 2), unique=True))
     try:
@@ -82,3 +95,72 @@ def test_kernel_unreached_and_blocked_cells_read_minus_one(nx, ny, blocked, data
     expected = oracle_bfs(cells, source)
     dist = _bfs(nx, ny, [x * ny + y for x, y in blocked], source[0] * ny + source[1])
     assert dist == [expected.get((x, y), -1) for x in range(nx) for y in range(ny)]
+
+
+def mask_of(cells, stride: int) -> int:
+    return sum(1 << x * stride + y for x, y in cells)
+
+
+def multi_source_oracle(nodes: set, sources) -> dict:
+    """Distance from each reached node to the nearest source."""
+    dist: dict = {}
+    for source in sources:
+        for p, d in oracle_bfs(nodes, source).items():
+            dist[p] = min(d, dist.get(p, d))
+    return dist
+
+
+@st.composite
+def masked_configurations(draw):
+    """A configuration (w <= 16, <= 6 holes), a stride and 1-3 source nodes."""
+    cfg = draw(configurations(max_w=16))
+    stride = cfg.size + 2 + draw(st.integers(0, 3))
+    nodes = sorted(tuple(p) for p in cfg.nodes())
+    sources = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True))
+    return cfg, stride, sources
+
+
+@given(masked_configurations())
+@settings(max_examples=150, deadline=None)
+def test_free_mask_bits_are_the_nodes_in_order(case):
+    cfg, stride, _ = case
+    free = free_mask(cfg, stride)
+    bits = [i for i in range(free.bit_length()) if free >> i & 1]
+    assert bits == [p.x * stride + p.y for p in cfg.nodes()]
+    assert bits_set(free, stride, cfg.positions()) == [cfg.is_node(p) for p in cfg.positions()]
+
+
+def test_free_mask_refuses_a_stride_without_guard_bits():
+    with pytest.raises(ValueError):
+        free_mask(validate(5, []), 6)
+
+
+@given(masked_configurations())
+@settings(max_examples=150, deadline=None)
+def test_layers_are_the_bfs_distance_classes(case):
+    cfg, stride, sources = case
+    nodes = {tuple(p) for p in cfg.nodes()}
+    dist = multi_source_oracle(nodes, sources)
+    got = list(layers(free_mask(cfg, stride), stride, mask_of(sources, stride)))
+    assert len(got) == max(dist.values()) + 1
+    for i, layer in enumerate(got):
+        assert layer == mask_of([p for p, d in dist.items() if d == i], stride)
+
+
+@given(masked_configurations(), st.integers(-3, 40) | st.just(10**30))
+@settings(max_examples=150, deadline=None)
+def test_ball_is_the_cells_within_r(case, r):
+    cfg, stride, sources = case
+    nodes = {tuple(p) for p in cfg.nodes()}
+    dist = multi_source_oracle(nodes, sources)
+    got = ball(free_mask(cfg, stride), stride, mask_of(sources, stride), r)
+    assert got == mask_of([p for p, d in dist.items() if d <= r], stride)
+
+
+@given(configurations(max_w=16))
+@settings(max_examples=150, deadline=None)
+def test_max_t_is_the_largest_near_corner_distance(cfg):
+    w = cfg.size
+    nodes = {tuple(p) for p in cfg.nodes()}
+    dist = multi_source_oracle(nodes, [(0, w), (w, 0)])
+    assert max_t(cfg) == w + max(dist.values())

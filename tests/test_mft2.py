@@ -2,7 +2,10 @@ import time
 
 import pytest
 
+from fssp_holes import mft2
 from fssp_holes.errors import (
+    BoundViolatedError,
+    FsspError,
     NotUpperBoundCaseError,
     PreconditionViolatedError,
     SizeTooSmallError,
@@ -201,3 +204,11 @@ class TestAppendixPredicate:
             thm_appendix_check(cfg, (11, 11), (0, 0))  # v outside U u V
         with pytest.raises(PreconditionViolatedError):
             thm_appendix_check(validate(4, [(1, 1), (2, 2)]), (1, 2), (0, 0))
+
+    def test_unmatched_violation_raises_a_package_error(self, monkeypatch):
+        # No configuration violates the bound outside the four exceptions
+        # (criterion 10), so stretch the distance to reach the raise.
+        monkeypatch.setattr(mft2, "bfs_distance", lambda cfg, a, b: 3 * cfg.size)
+        with pytest.raises(BoundViolatedError) as info:
+            thm_appendix_check(validate(12, [(1, 1), (8, 8)]), (3, 3), (12, 0))
+        assert isinstance(info.value, FsspError) and info.value.code == "BoundViolated"

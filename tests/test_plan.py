@@ -65,6 +65,12 @@ class TestSizeCheckOnlyPlan:
         with pytest.raises(PreconditionViolatedError):
             check_c_conditions(plan, validate(12, [(6, 4), (7, 5)]))  # slack 1
 
+    def test_empty_group_is_complete_at_once(self):
+        # A node holds every message of a group with no sites, so the plan
+        # fires on the size-check messages alone.
+        plan = MessagePlan(7, 0, ((),), Pattern(frozenset()))
+        assert run_message_plan(validate(7, []), plan).common_fire_time() == 14
+
     def test_zero_slack_version_fails_c1(self):
         plan = MessagePlan(12, 0, (), Pattern(frozenset()))
         report = check_c_conditions(plan, validate(12, [(3, 3), (8, 8)]))
