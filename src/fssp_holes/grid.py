@@ -1,8 +1,8 @@
 """Core geometry: positions, configurations, distances, patterns, regions.
 
 Distances come two ways: _bfs builds a full distance field (distance_grid),
-and the free-mask engine (free_mask, layers, ball) answers threshold
-questions with one big int per configuration.
+and the free-mask engine (free_mask, layers, ball, radius, walk_mask)
+answers threshold questions with one big int per configuration.
 
 Coordinates follow one convention everywhere: origin (0, 0) at the general
 in the southwest corner, x grows to the east, y grows to the north.  A
@@ -140,18 +140,21 @@ def mh_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _bfs(nx: int, ny: int, blocked: list[int], start: int) -> list[int]:
-    """BFS distances on the nx x ny grid of cells indexed x * ny + y.
+def _bfs(nx: int, ny: int, blocked: list[int], *starts: int) -> list[int]:
+    """BFS distances to the nearest start on the nx x ny grid of cells
+    indexed x * ny + y.
 
-    The one grid BFS of the package: configurations and the enlarged
-    rectangles of barrier shapes both run on it.  Blocked cells (holes) and
-    cells the search does not reach read -1.
+    The one grid BFS of the package: configurations, the enlarged
+    rectangles of barrier shapes and the free-mask engine's long searches
+    all run on it.  Blocked cells (holes) and cells the search does not
+    reach read -1.
     """
     dist = [-1] * (nx * ny)
     for i in blocked:
         dist[i] = -2
-    dist[start] = 0
-    queue = deque([start])
+    for i in starts:
+        dist[i] = 0
+    queue = deque(starts)
     while queue:
         i = queue.popleft()
         d1 = dist[i] + 1
@@ -190,7 +193,16 @@ def distance_grid(cfg: Configuration, source: Position) -> tuple[int, ...]:
 # in a zero guard bit, so bit order is nodes() order, a +-1 shift (north,
 # south) never wraps into the next column, and a +-stride shift moves east or
 # west.  A BFS layer is then a few big-int operations, which answers "is
-# d <= r?" for every node at once.  Full distance fields stay with _bfs.
+# d <= r?" for every node at once.
+#
+# A layer costs O(N) bit work for N cells whatever its size, so a search
+# that runs past _layer_cap layers (a maze, not a square with a few holes,
+# whose searches end within about 2w layers) finishes on one _bfs field
+# instead: no query costs more than _layer_cap layers plus one field.
+
+
+def _layer_cap(stride: int) -> int:
+    return 4 * stride
 
 
 @lru_cache(maxsize=64)
@@ -250,12 +262,106 @@ def layers(free: int, stride: int, start: int) -> Iterator[int]:
         unseen ^= frontier
 
 
+def _field(free: int, stride: int, start: int) -> list[int]:
+    """_bfs distances from the start mask, indexed by bit; -1 off free or
+    unreached."""
+    n = (free.bit_length() // stride + 1) * stride
+    blocked = [i for i, c in enumerate(format(free, f"0{n}b")[::-1]) if c == "0"]
+    starts = []
+    while start:
+        low = start & -start
+        starts.append(low.bit_length() - 1)
+        start ^= low
+    return _bfs(n // stride, stride, blocked, *starts)
+
+
+def _mask_where(flags: list[bool]) -> int:
+    """The mask whose bit i is flags[i]."""
+    return int("".join(["1" if f else "0" for f in reversed(flags)]) or "0", 2)
+
+
 def ball(free: int, stride: int, start: int, r: int) -> int:
     """Nodes within distance r of the start mask; empty for r < 0."""
     out = 0
-    for _, layer in zip(range(r + 1), layers(free, stride, start)):
+    for d, layer in enumerate(layers(free, stride, start)):
+        if d > r:
+            break
+        if d > _layer_cap(stride):
+            return _mask_where([0 <= x <= r for x in _field(free, stride, start)])
         out |= layer
     return out
+
+
+def radius(free: int, stride: int, start: int) -> int:
+    """The largest distance from the start mask to a node it reaches."""
+    d = -1
+    for d, _ in enumerate(layers(free, stride, start)):
+        if d > _layer_cap(stride):
+            return max(_field(free, stride, start))
+    return d
+
+
+def _distance_planes(free: int, stride: int, start: int) -> tuple[int, list[int]] | None:
+    """(reached, planes): bit k of node u's distance from the start mask is
+    bit u of planes[k], for u in reached.  None past the layer cap.
+
+    About log2(radius) masks hold every distance, where a ball per radius
+    would take a mask per layer.
+    """
+    cap = _layer_cap(stride)
+    reached, planes = 0, []
+    for d, layer in enumerate(layers(free, stride, start)):
+        if d > cap:
+            return None
+        reached |= layer
+        if d >> len(planes):
+            planes.append(0)
+        rest = d
+        while rest:
+            low = rest & -rest
+            planes[low.bit_length() - 1] |= layer
+            rest ^= low
+    return reached, planes
+
+
+def _plane_sum(pa: list[int], pb: list[int]) -> list[int]:
+    """Planes of the node-wise sum of two plane-encoded values (ripple carry)."""
+    n = max(len(pa), len(pb))
+    out, carry = [], 0
+    for x, y in zip(pa + [0] * (n - len(pa)), pb + [0] * (n - len(pb))):
+        half = x ^ y
+        out.append(half ^ carry)
+        carry = x & y | carry & half
+    out.append(carry)
+    return out
+
+
+def _at_most(planes: list[int], r: int, within: int) -> int:
+    """Nodes of within whose plane-encoded value is <= r, for r >= 0."""
+    if r >> len(planes):
+        return within
+    less, equal = 0, within
+    for k in reversed(range(len(planes))):
+        if r >> k & 1:
+            less |= equal & ~planes[k]
+            equal &= planes[k]
+        else:
+            equal &= ~planes[k]
+    return less | equal
+
+
+def walk_mask(free: int, stride: int, a: int, b: int, t: int) -> int:
+    """Nodes u on some walk of length <= t from start mask a to start mask b:
+    d(a, u) + d(u, b) <= t.  Empty for t < 0."""
+    if t < 0:
+        return 0
+    da = _distance_planes(free, stride, a)
+    db = None if da is None else _distance_planes(free, stride, b)
+    if db is None:
+        fa, fb = _field(free, stride, a), _field(free, stride, b)
+        return _mask_where([0 <= x and 0 <= y and x + y <= t for x, y in zip(fa, fb)])
+    (reached_a, pa), (reached_b, pb) = da, db
+    return _at_most(_plane_sum(pa, pb), t, reached_a & reached_b)
 
 
 def bfs_distance(cfg: Configuration, a: tuple[int, int], b: tuple[int, int]) -> int:

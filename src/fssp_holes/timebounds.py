@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from operator import or_
 
 from .barriers import Rect, barrier_containing
 from .errors import (
@@ -28,11 +26,12 @@ from .grid import (
     Configuration,
     Position,
     free_mask,
-    layers,
     node_bit,
+    radius,
     regions,
     validate,
     via_distance,
+    walk_mask,
 )
 from .shapes import BarrierShape, d0_d1
 
@@ -65,12 +64,12 @@ def max_t(cfg: Configuration) -> int:
 
     T(v, C) - w is the distance from v to the nearer far corner, so max_t is
     w plus the smallest r at which the balls of radius r around (0, w) and
-    (w, 0) together cover every node: the last BFS layer from both corners.
+    (w, 0) together cover every node: the radius of both corners.
     """
     w = cfg.size
     s = w + 2
     corners = node_bit(cfg, (0, w), s) | node_bit(cfg, (w, 0), s)
-    return w + sum(1 for _ in layers(free_mask(cfg), s, corners)) - 1
+    return w + radius(free_mask(cfg), s, corners)
 
 
 def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
@@ -139,10 +138,9 @@ def equiv_prime(
     its two-leg distance sum is <= t; every such node must exist in the other
     configuration with an identical boundary condition, both ways around.
 
-    On free masks of one stride: the reach mask is the OR over i of the
-    general's layer i and v's ball of radius t - i.  A node's boundary
-    conditions agree exactly when no neighbor bit differs between the two
-    masks.
+    On free masks of one stride: the reach mask is walk_mask from the
+    general to v.  A node's boundary conditions agree exactly when no
+    neighbor bit differs between the two masks.
     """
     v = Position(*v)
     if not cfg_a.is_node(v) or not cfg_b.is_node(v):
@@ -151,12 +149,9 @@ def equiv_prime(
     free_a, free_b = free_mask(cfg_a, s), free_mask(cfg_b, s)
     diff = free_a ^ free_b
     neighbor_differs = diff << 1 | diff >> 1 | diff << s | diff >> s
-    v_bit = node_bit(cfg_a, v, s)
+    gen_bit, v_bit = node_bit(cfg_a, V_GEN, s), node_bit(cfg_a, v, s)
     for src, dst in ((free_a, free_b), (free_b, free_a)):
-        balls_v = list(accumulate(layers(src, s, v_bit), or_))
-        reach = 0
-        for i, layer in zip(range(t + 1), layers(src, s, 1)):
-            reach |= layer & balls_v[min(t - i, len(balls_v) - 1)]
+        reach = walk_mask(src, s, gen_bit, v_bit, t)
         if reach & ~dst or reach & neighbor_differs:
             return False
     return True

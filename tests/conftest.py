@@ -24,6 +24,21 @@ def all_two_hole_configs(w: int):
         yield validate(w, [a, b])
 
 
+def serpentine_maze(w: int) -> Configuration:
+    """Holes everywhere inside but one corridor, entered from (1, 2), that
+    winds through rows 2, 4, ..., so a search from the boundary runs about
+    w^2 / 2 layers."""
+    corridor = {(1, 2)}
+    rows = list(range(2, w - 1, 2))
+    for j, y in enumerate(rows):
+        corridor |= {(x, y) for x in range(2, w - 1)}
+        if j + 1 < len(rows):
+            corridor.add((w - 2, y + 1) if j % 2 == 0 else (2, y + 1))
+    return validate(
+        w, [(x, y) for x in range(1, w) for y in range(1, w) if (x, y) not in corridor]
+    )
+
+
 @pytest.fixture
 def rng():
     return random.Random(20829)

@@ -2,19 +2,24 @@
 
 distance_grid (configurations) and d0_d1 (enlarged rectangles of barrier
 shapes) both run on grid._bfs; the free-mask engine (free_mask, layers,
-ball), and max_t on it, answer threshold questions with big ints.  Each is
-compared here with an independent breadth-first search over explicit cell
-sets.
+ball, radius, walk_mask), and max_t on it, answer threshold questions with
+big ints.  Each is compared here with an independent breadth-first search
+over explicit cell sets.  The engine's searches finish on a _bfs field past
+a layer cap; the tests shrink the cap to run that path on small squares.
 """
 
 from collections import deque
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fssp_holes import grid
 from fssp_holes.errors import ValidationError
 from fssp_holes.grid import (
+    V_GEN,
     Position,
     _bfs,
     ball,
@@ -22,10 +27,14 @@ from fssp_holes.grid import (
     distance_grid,
     free_mask,
     layers,
+    radius,
     validate,
+    walk_mask,
 )
 from fssp_holes.shapes import d0_d1, enumerate_shapes
 from fssp_holes.timebounds import max_t
+
+from conftest import serpentine_maze
 
 SHAPES = list(enumerate_shapes(5))
 
@@ -147,20 +156,92 @@ def test_layers_are_the_bfs_distance_classes(case):
         assert layer == mask_of([p for p, d in dist.items() if d == i], stride)
 
 
-@given(masked_configurations(), st.integers(-3, 40) | st.just(10**30))
+@contextmanager
+def layer_cap(cap):
+    """The engine's own layer cap (None), or a small one."""
+    if cap is None:
+        yield
+    else:
+        with mock.patch.object(grid, "_layer_cap", lambda stride: cap):
+            yield
+
+
+CAPS = st.sampled_from([None, 0, 1, 3])
+RADII = st.integers(-3, 40) | st.just(10**30)
+
+
+@given(masked_configurations(), RADII, CAPS)
 @settings(max_examples=150, deadline=None)
-def test_ball_is_the_cells_within_r(case, r):
+def test_ball_is_the_cells_within_r(case, r, cap):
     cfg, stride, sources = case
     nodes = {tuple(p) for p in cfg.nodes()}
     dist = multi_source_oracle(nodes, sources)
-    got = ball(free_mask(cfg, stride), stride, mask_of(sources, stride), r)
+    with layer_cap(cap):
+        got = ball(free_mask(cfg, stride), stride, mask_of(sources, stride), r)
     assert got == mask_of([p for p, d in dist.items() if d <= r], stride)
 
 
-@given(configurations(max_w=16))
+@given(masked_configurations(), CAPS)
 @settings(max_examples=150, deadline=None)
-def test_max_t_is_the_largest_near_corner_distance(cfg):
+def test_radius_is_the_largest_distance(case, cap):
+    cfg, stride, sources = case
+    dist = multi_source_oracle({tuple(p) for p in cfg.nodes()}, sources)
+    with layer_cap(cap):
+        assert radius(free_mask(cfg, stride), stride, mask_of(sources, stride)) == max(
+            dist.values()
+        )
+
+
+@given(masked_configurations(), st.data(), RADII, CAPS)
+@settings(max_examples=150, deadline=None)
+def test_walk_mask_is_the_cells_on_short_walks(case, data, t, cap):
+    cfg, stride, sources = case
+    nodes = {tuple(p) for p in cfg.nodes()}
+    other = data.draw(
+        st.lists(st.sampled_from(sorted(nodes)), min_size=1, max_size=2, unique=True)
+    )
+    da = multi_source_oracle(nodes, sources)
+    db = multi_source_oracle(nodes, other)
+    with layer_cap(cap):
+        got = walk_mask(
+            free_mask(cfg, stride), stride, mask_of(sources, stride), mask_of(other, stride), t
+        )
+    assert got == mask_of([p for p in nodes if da[p] + db[p] <= t], stride)
+
+
+@given(configurations(max_w=16), CAPS)
+@settings(max_examples=150, deadline=None)
+def test_max_t_is_the_largest_near_corner_distance(cfg, cap):
     w = cfg.size
     nodes = {tuple(p) for p in cfg.nodes()}
     dist = multi_source_oracle(nodes, [(0, w), (w, 0)])
-    assert max_t(cfg) == w + max(dist.values())
+    with layer_cap(cap):
+        assert max_t(cfg) == w + max(dist.values())
+
+
+def test_maze_searches_stop_at_the_layer_cap():
+    # The corridor of a w=40 maze is 800 layers long; no search may draw
+    # more than the cap (4 * stride = 168) and then finishes on a field.
+    w, s = 40, 42
+    cfg = serpentine_maze(w)
+    nodes = {tuple(p) for p in cfg.nodes()}
+    gen, end = oracle_bfs(nodes, V_GEN), oracle_bfs(nodes, (w, w))
+    drawn = []
+
+    def counted(*args):
+        drawn.append(0)
+        for layer in layers(*args):
+            drawn[-1] += 1
+            yield layer
+
+    free, g, e = free_mask(cfg), 1, 1 << w * s + w
+    with mock.patch.object(grid, "layers", counted):
+        assert ball(free, s, g, 10**30) == free
+        assert ball(free, s, g, 500) == mask_of([p for p, d in gen.items() if d <= 500], s)
+        assert radius(free, s, g) == max(gen.values())
+        assert walk_mask(free, s, g, e, 10**30) == free
+        assert walk_mask(free, s, g, e, 700) == mask_of(
+            [p for p in nodes if gen[p] + end[p] <= 700], s
+        )
+        assert max_t(cfg) == w + max(multi_source_oracle(nodes, [(0, w), (w, 0)]).values())
+    assert drawn and max(drawn) <= grid._layer_cap(s) + 2

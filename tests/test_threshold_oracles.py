@@ -12,6 +12,7 @@ The library versions answer the same threshold questions on free masks.
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,7 +31,7 @@ from fssp_holes.mft2 import build_witness_plan, is_slow_case
 from fssp_holes.sim.plan import MessagePlan, run_message_plan
 from fssp_holes.timebounds import WITNESS_CORNER, equiv_prime
 
-from conftest import all_two_hole_configs, make_random_config
+from conftest import all_two_hole_configs, make_random_config, serpentine_maze
 
 pytestmark = pytest.mark.slow
 
@@ -148,6 +149,26 @@ class TestEquivPrime:
             for t in (-5, 0, min(wa, wb), 2 * min(wa, wb), 10**30):
                 answers.append(same_outcome(equiv_prime, equiv_prime_by_nodes, a, b, t, v))
         assert answers.count(True) and answers.count(False) and answers.count(None)
+
+    def test_maze_with_a_huge_t_keeps_memory_bounded(self):
+        # A search of this maze runs 8,000 layers of 2 KB masks; holding a
+        # mask per layer peaked at about 2,200 bytes per cell, two distance
+        # fields take about 65.
+        w = 128
+        maze = serpentine_maze(w)
+        tracemalloc.start()
+        try:
+            got = equiv_prime(maze, maze, 10**30, (w, w))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is True
+        assert peak < 200 * (w + 1) ** 2
+        plug = validate(w, maze.holes | {Position(w - 2, w - 2)})
+        assert equiv_prime(maze, plug, 10**30, (0, w)) is False
+        assert equiv_prime_by_nodes(maze, plug, 10**30, (0, w)) is False
+        assert equiv_prime(maze, plug, 10, (0, w)) is True
+        assert equiv_prime_by_nodes(maze, plug, 10, (0, w)) is True
 
 
 def witness_plans(w):
