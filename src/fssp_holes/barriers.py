@@ -76,14 +76,16 @@ def _has_value_in(sorted_vals: list[int] | None, lo: int, hi: int) -> bool:
     return i < len(sorted_vals) and sorted_vals[i] <= hi
 
 
+def _first_free(lines: dict[int, list[int]], lo: int, hi: int, a: int, b: int) -> int | None:
+    """The first line of lo..hi with no hole in a..b, or None."""
+    return next((i for i in range(lo, hi + 1) if not _has_value_in(lines.get(i), a, b)), None)
+
+
 def is_barrier(cfg: Configuration, rect: Rect) -> bool:
     """True iff every column and every row of rect contains a hole of cfg."""
-    cols = _holes_by_column(cfg)
-    rows = _holes_by_row(cfg)
-    return all(
-        _has_value_in(cols.get(x), rect.y0, rect.y1) for x in range(rect.x0, rect.x1 + 1)
-    ) and all(
-        _has_value_in(rows.get(y), rect.x0, rect.x1) for y in range(rect.y0, rect.y1 + 1)
+    return (
+        _first_free(_holes_by_column(cfg), rect.x0, rect.x1, rect.y0, rect.y1) is None
+        and _first_free(_holes_by_row(cfg), rect.y0, rect.y1, rect.x0, rect.x1) is None
     )
 
 
@@ -91,9 +93,11 @@ def is_barrier(cfg: Configuration, rect: Rect) -> bool:
 def maximal_barriers(cfg: Configuration) -> frozenset[Rect]:
     """All maximal barriers of cfg, via the splitting algorithm.
 
-    Start from the interior rectangle [1..w-1]^2 and repeat: drop hole-free
-    side-boundary lines, split on hole-free inner lines.  The result is
-    unique; processing the lowest-index hole-free column first (then row)
+    Start from the interior rectangle [1..w-1]^2.  While a rectangle has a
+    hole-free column (else row), replace it by the nonempty sides of the
+    first such line; a rectangle with none is a maximal barrier.  One rule
+    drops a hole-free boundary line, drops a 1-wide hole-free rectangle and
+    splits on an inner line.  The result is unique; taking the first line
     merely fixes the execution order.
     """
     if not cfg.holes or cfg.size < 2:
@@ -104,40 +108,14 @@ def maximal_barriers(cfg: Configuration) -> frozenset[Rect]:
     done: list[Rect] = []
     while work:
         r = work.pop()
-        free_col = next(
-            (x for x in range(r.x0, r.x1 + 1) if not _has_value_in(cols.get(x), r.y0, r.y1)),
-            None,
-        )
-        if free_col is not None:
-            if free_col == r.x0 or free_col == r.x1:
-                if r.width > 1:
-                    work.append(
-                        Rect(r.x0 + 1, r.y0, r.x1, r.y1)
-                        if free_col == r.x0
-                        else Rect(r.x0, r.y0, r.x1 - 1, r.y1)
-                    )
-                # A 1-wide hole-free rectangle disappears entirely.
-            else:
-                work.append(Rect(r.x0, r.y0, free_col - 1, r.y1))
-                work.append(Rect(free_col + 1, r.y0, r.x1, r.y1))
-            continue
-        free_row = next(
-            (y for y in range(r.y0, r.y1 + 1) if not _has_value_in(rows.get(y), r.x0, r.x1)),
-            None,
-        )
-        if free_row is not None:
-            if free_row == r.y0 or free_row == r.y1:
-                if r.height > 1:
-                    work.append(
-                        Rect(r.x0, r.y0 + 1, r.x1, r.y1)
-                        if free_row == r.y0
-                        else Rect(r.x0, r.y0, r.x1, r.y1 - 1)
-                    )
-            else:
-                work.append(Rect(r.x0, r.y0, r.x1, free_row - 1))
-                work.append(Rect(r.x0, free_row + 1, r.x1, r.y1))
-            continue
-        done.append(r)
+        x = _first_free(cols, r.x0, r.x1, r.y0, r.y1)
+        y = _first_free(rows, r.y0, r.y1, r.x0, r.x1) if x is None else None
+        if x is not None:
+            work += [Rect(a, r.y0, b, r.y1) for a, b in ((r.x0, x - 1), (x + 1, r.x1)) if a <= b]
+        elif y is not None:
+            work += [Rect(r.x0, a, r.x1, b) for a, b in ((r.y0, y - 1), (y + 1, r.y1)) if a <= b]
+        else:
+            done.append(r)
     return frozenset(done)
 
 

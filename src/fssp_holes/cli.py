@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from . import barriers as bar
 from . import mft2, shapes, timebounds as tb
 from .errors import BudgetExceededError, FsspError, ParseError, SizeTooLargeError
-from .grid import MAX_SIZE, Position, load_config_file
+from .grid import MAX_SIZE, Position, load_config_file, square_rows
 from .sim.line import run_line_fssp
 from .sim.plan import plan_from_json, run_message_plan
 from .sim.sh1 import run_sh1
@@ -123,30 +123,17 @@ def _print_sh1_trace(cfg, transcript) -> None:
     for p, t in transcript.fire_time.items():
         if t is not None:
             events.setdefault(t, {})[p] = "F"
-    w = cfg.size
     for t in range(0, transcript.horizon + 1):
         print(f"t={t}")
         marks = events.get(t, {})
-        for y in range(w, -1, -1):
-            row = []
-            for x in range(w + 1):
-                p = Position(x, y)
-                row.append("#" if p in cfg.holes else marks.get(p, "."))
+        for row in square_rows(cfg, lambda p: marks.get(p, ".")):
             print("".join(row))
         print()
 
 
 def _print_plan_grid(cfg, transcript) -> None:
-    w = cfg.size
     willing = transcript.diagnostics["willing"]
-    for y in range(w, -1, -1):
-        row = []
-        for x in range(w + 1):
-            p = Position(x, y)
-            if p in cfg.holes:
-                row.append("#")
-            else:
-                row.append("+" if willing.get(p) else "-")
+    for row in square_rows(cfg, lambda p: "+" if willing.get(p) else "-"):
         print("".join(row))
 
 
@@ -188,27 +175,13 @@ def _cmd_ck(args) -> int:
 
 def _cmd_tvc(args) -> int:
     cfg = load_config_file(args.config)
-    w = cfg.size
-    table = {}
-    for v in cfg.nodes():
-        table[v] = tb.t_of(cfg, v)
     if args.json:
-        grid = [
-            [table.get(Position(x, y)) for x in range(w + 1)]
-            for y in range(w, -1, -1)
-        ]
-        _emit({"size": w, "max_t": tb.max_t(cfg), "t_grid_rows_north_to_south": grid})
+        grid = square_rows(cfg, lambda v: tb.t_of(cfg, v), hole=None)
+        _emit({"size": cfg.size, "max_t": tb.max_t(cfg), "t_grid_rows_north_to_south": grid})
     else:
         print(f"max_t {tb.max_t(cfg)}")
-        for y in range(w, -1, -1):
-            print(
-                " ".join(
-                    f"{table.get(Position(x, y), '--'):>3}"
-                    if Position(x, y) not in cfg.holes
-                    else "  #"
-                    for x in range(w + 1)
-                )
-            )
+        for row in square_rows(cfg, lambda v: f"{tb.t_of(cfg, v):>3}", hole="  #"):
+            print(" ".join(row))
     return EXIT_OK
 
 

@@ -16,7 +16,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     BoundaryHoleError,
@@ -121,8 +122,7 @@ def validate(size: int, holes: Iterable[tuple[int, int]]) -> Configuration:
             )
     cfg = Configuration(size, hs)
     # One flood fill from the general; compare reached count with the node
-    # count.  Uncached, so the many validate calls of plan checks do not flush
-    # distance_grid's cache.
+    # count.  Uncached: distance_grid's cache is for fields read again.
     w1 = size + 1
     dist = _bfs(w1, w1, [h.x * w1 + h.y for h in hs], 0)
     reached = sum(1 for d in dist if d >= 0)
@@ -490,11 +490,21 @@ def _check_max_size(size: int) -> None:
         raise SizeTooLargeError(f"size {size} exceeds the maximum {MAX_SIZE}")
 
 
+def _only_ints(values: Iterable) -> bool:
+    """True iff every value is an int: not a bool, a float or a list.
+
+    The one type check of the JSON readers (configurations, plans,
+    checkpoints), each of which flattens its fields first.  Linear in the
+    number of values.
+    """
+    return all(type(v) is int for v in values)
+
+
 def load_json(text: str) -> Configuration:
     try:
         doc = json.loads(text)
         size, holes = doc["size"], [(x, y) for x, y in doc["holes"]]
-        if not all(type(v) is int for v in (size, *sum(holes, ()))):
+        if not _only_ints(chain([size], *holes)):
             raise TypeError("size and hole coordinates must be integers")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed configuration JSON: {exc}") from exc
@@ -504,14 +514,23 @@ def load_json(text: str) -> Configuration:
     return validate(size, holes)
 
 
+def square_rows(
+    cfg: Configuration, mark: Callable[[Position], object], hole: object = "#"
+) -> list[list]:
+    """The square as rows from y=w down to y=0, each from west to east:
+    hole at a hole, mark(p) at a node p.  Every picture of a square draws
+    through it."""
+    w = cfg.size
+    return [
+        [hole if Position(x, y) in cfg.holes else mark(Position(x, y)) for x in range(w + 1)]
+        for y in range(w, -1, -1)
+    ]
+
+
 def dump_ascii(cfg: Configuration) -> str:
     """ASCII form: "w=<w>" then rows from y=w down to y=0, '.' node '#' hole."""
-    lines = [f"w={cfg.size}"]
-    for y in range(cfg.size, -1, -1):
-        lines.append(
-            "".join("#" if Position(x, y) in cfg.holes else "." for x in range(cfg.size + 1))
-        )
-    return "\n".join(lines) + "\n"
+    rows = ["".join(row) for row in square_rows(cfg, lambda p: ".")]
+    return "\n".join([f"w={cfg.size}", *rows]) + "\n"
 
 
 def load_ascii(text: str) -> Configuration:

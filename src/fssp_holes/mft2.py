@@ -22,13 +22,11 @@ from .errors import (
 from .grid import (
     V_GEN,
     Configuration,
-    Pattern,
     Position,
     bfs_distance,
     mh_distance,
     pattern_of,
     regions,
-    validate,
 )
 from .sim.plan import MessagePlan, PlanCheckReport, check_c_conditions
 from .timebounds import (
@@ -110,20 +108,6 @@ def classify(cfg: Configuration, with_certificate: bool = True) -> MftVerdict:
 # Witness-plan construction (the upper-bound case analysis)
 
 
-def _transpose_cfg(cfg: Configuration) -> Configuration:
-    return validate(cfg.size, [(h.y, h.x) for h in cfg.holes])
-
-
-def _transpose_plan(plan: MessagePlan) -> MessagePlan:
-    flip = lambda p: Position(p[1], p[0])
-    return MessagePlan(
-        plan.target_size,
-        plan.slack,
-        tuple(tuple((flip(site), off) for site, off in group) for group in plan.groups),
-        Pattern(frozenset(map(flip, plan.pattern.domain)), frozenset(map(flip, plan.pattern.holes))),
-    )
-
-
 def _plan(cfg: Configuration, region: frozenset[Position], groups) -> MessagePlan:
     return MessagePlan(
         target_size=cfg.size,
@@ -159,10 +143,6 @@ def build_witness_plan(cfg: Configuration) -> MessagePlan:
         return _v_band_plan(cfg, fam)
 
     if nU == 1 and nV == 1:
-        v1 = next(h for h in cfg.holes if h in fam.V)
-        if v1.y != cfg.size // 2:
-            # V hole on the vertical arm: build in the reflected frame.
-            return _transpose_plan(build_witness_plan(_transpose_cfg(cfg)))
         return _u_v_pair_plan(cfg, fam)
 
     raise AssertionError(f"unhandled fast-case type {profile.counts}")
@@ -226,12 +206,17 @@ def _v_band_plan(cfg: Configuration, fam) -> MessagePlan:
 
 
 def _u_v_pair_plan(cfg: Configuration, fam) -> MessagePlan:
-    """One hole in U, one on the horizontal arm of V."""
+    """One hole in U, one on either arm of V.
+
+    along points down the V hole's arm: east on the horizontal arm, north on
+    the vertical one, so one construction serves both mirror images.
+    """
     v0 = next(h for h in cfg.holes if h in fam.U)
     v1 = next(h for h in cfg.holes if h in fam.V)
+    along = (1, 0) if v1.y == cfg.size // 2 else (0, 1)
     if v1 == v0 + (1, 1):
-        return _plan(cfg, frozenset(fam.UV), [[v0 + (1, 0)], [v1 - (1, 0)]])
-    return _plan(cfg, frozenset(fam.UV), [[v0 - (0, 1), v1 - (1, 0)]])
+        return _plan(cfg, frozenset(fam.UV), [[v0 + along], [v1 - along]])
+    return _plan(cfg, frozenset(fam.UV), [[v0 - along[::-1], v1 - along]])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     UnreachableError,
     WrongHoleCountError,
 )
-from .grid import Position, _bfs
+from .grid import Position, _bfs, _only_ints
 
 #: The largest k that enumerate_shapes and compute_ck accept.
 HARD_MAX_K = 8
@@ -387,8 +387,7 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
                 task = doc["w"], doc["h"], doc["row0"]
                 counts = doc["shapes"], doc["pairs"], doc["best"]
                 reps = [tuple(rep) for rep in doc["arg"]]
-                fields = chain(task, counts, *reps)
-                if any(len(rep) != 3 for rep in reps) or any(type(v) is not int for v in fields):
+                if any(len(rep) != 3 for rep in reps) or not _only_ints(chain(task, counts, *reps)):
                     raise ValueError("a field is not an integer or a rep is not [mask, x, y]")
                 _check_record_ranges(k, *task, *counts, reps)
                 done[task] = (*counts, reps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..errors import (
     OutOfSquareError,
@@ -28,6 +29,7 @@ from ..grid import (
     Configuration,
     Pattern,
     Position,
+    _only_ints,
     ball,
     bits_set,
     free_mask,
@@ -268,27 +270,21 @@ def plan_to_json(plan: MessagePlan) -> str:
     return json.dumps(doc, separators=(", ", ": "))
 
 
-def _only_ints(value) -> bool:
-    """True iff value is an int or a list, nested or not, of nothing but ints."""
-    if isinstance(value, list):
-        return all(map(_only_ints, value))
-    return type(value) is int
-
-
 def plan_from_json(text: str | bytes) -> MessagePlan:
     """Read a plan file; a "checked_region" key from older files is ignored."""
     try:
         doc = json.loads(text)
         nodes, holes = doc["pattern"]["nodes"], doc["pattern"]["holes"]
-        if not _only_ints([doc["target_size"], doc["slack"], doc["groups"], nodes, holes]):
+        groups = tuple(
+            tuple((Position(*site), off) for site, off in group) for group in doc["groups"]
+        )
+        messages = [(*site, off) for group in groups for site, off in group]
+        if not _only_ints(chain([doc["target_size"], doc["slack"]], *messages, *nodes, *holes)):
             raise TypeError("sizes, offsets and coordinates must be integers")
         nodes, holes = (frozenset(Position(*p) for p in cells) for cells in (nodes, holes))
         if nodes & holes:
             raise ValueError(f"cells {sorted(map(tuple, nodes & holes))} are nodes and holes")
         pattern = Pattern(nodes | holes, holes)
-        groups = tuple(
-            tuple((Position(*site), off) for site, off in group) for group in doc["groups"]
-        )
         return MessagePlan(doc["target_size"], doc["slack"], groups, pattern)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ParseError(f"malformed plan JSON: {exc}") from exc

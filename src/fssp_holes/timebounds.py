@@ -33,7 +33,7 @@ from .grid import (
     via_distance,
     walk_mask,
 )
-from .shapes import BarrierShape, d0_d1
+from .shapes import BarrierShape, e_of
 
 HALF_PLANES = ("H0", "H1", "H2")
 
@@ -75,20 +75,16 @@ def max_t(cfg: Configuration) -> int:
 def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
     """Closed-form T(v, C) for a node inside a maximal barrier.
 
-    Reads W, H, z, delta off the containing maximal barrier and d0/d1 off
-    its enlarged rectangle; equals t_of by the barrier formula.
+    2w + e_of(shape, p, delta), with the shape, the node's offset p and
+    delta = x0 - y0 read off the containing maximal barrier; equals t_of by
+    the barrier formula.
     """
     v = Position(*v)
     rect = barrier_containing(cfg, v)
     if rect is None or v in cfg.holes:
         raise NotInBarrierError(f"{tuple(v)} lies in no maximal barrier")
-    shape = shape_of_barrier(cfg, rect)
     p = v - Position(rect.x0, rect.y0)
-    delta = rect.x0 - rect.y0
-    d0, d1 = d0_d1(shape, p)
-    return 2 * cfg.size + min(
-        delta - shape.height - 1 + d0, -delta - shape.width - 1 + d1
-    )
+    return 2 * cfg.size + e_of(shape_of_barrier(cfg, rect), p, rect.x0 - rect.y0)
 
 
 def shape_of_barrier(cfg: Configuration, rect: Rect) -> BarrierShape:

@@ -6,6 +6,7 @@ import pytest
 
 from fssp_holes.cli import main
 from fssp_holes.grid import dump_ascii, dump_json, validate
+from fssp_holes.mft2 import build_witness_plan
 from fssp_holes.shapes import HARD_MAX_K
 from fssp_holes.sim.plan import plan_to_json, worked_instance_plan
 
@@ -240,3 +241,55 @@ class TestOtherCommands:
         want = hashlib.sha256(b'{"ks":[2,3]}').hexdigest()
         assert first == digest("--ks", "2,3") == want
         assert digest("--ks", "2,4") != first
+
+
+class TestPictures:
+    """The square pictures, pinned byte for byte: sha256 of the exit code and stdout."""
+
+    WORKED = (7, [(1, 1), (2, 1), (3, 1)])
+    CRITICAL_PAIR = (12, [(4, 6), (5, 7)])
+    ONE_HOLE = (9, [(4, 6)])
+    U_V_PAIR = (12, [(2, 3), (6, 1)])  # V hole on the vertical arm
+
+    @pytest.mark.parametrize(
+        "argv, cfg, plan, digest",
+        [
+            (["tvc"], WORKED, None,
+             "92f7b8a5c87f9e67d92b98568522845f2f312ff679d983666d3da6e6d0af1e5b"),
+            (["tvc", "--json"], WORKED, None,
+             "b907bdf100255c6712e56941b22ce4837af32d21049b7e3766b932f55f70e2f2"),
+            (["tvc"], CRITICAL_PAIR, None,
+             "bf744a78faea7996e339259825b782c0de01aadadc590c5b3d70595ebed0dffc"),
+            (["tvc", "--json"], CRITICAL_PAIR, None,
+             "133c2f5e0ade422b0ae0f4f56720b06bc98891dda53122f2c6c3490ed26a23a0"),
+            (["tvc"], ONE_HOLE, None,
+             "08fe20ac49d87614c745752944470e8ed58baf9fac4dfe1e019c641ad874a37b"),
+            (["tvc", "--json"], ONE_HOLE, None,
+             "693b3073dab51cfb2c6ce4651b84ff496786865164c8fe97daa44889db192956"),
+            (["simulate", "sh1", "--trace"], ONE_HOLE, None,
+             "84b336586471483b349441daf8dbc230d509280415c49eb310fa97d384a0a615"),
+            (["simulate", "sh1", "--trace"], (5, []), None,
+             "91ecadd73aa5893abbf6683d3797bfdaf308c2d64da8d8f1e86530f5acf343ff"),
+            (["simulate", "plan", "--trace"], WORKED, "worked",
+             "cf78e26fac16e614f9a4f942c70a24ab827dbf9baf12bebd8e8e29a9c234ef5d"),
+            (["simulate", "plan", "--trace"], U_V_PAIR, U_V_PAIR,
+             "b09a0cdddfaf83bb8aaeda8572d749eaefa746faca5f47a111d5dec22680dbe5"),
+            (["simulate", "plan", "--trace"], CRITICAL_PAIR, U_V_PAIR,
+             "e8b1123b94c53da798ea512fcdaea4b01f4e35b34442e482aa009e1998e788d9"),
+        ],
+        ids=["tvc-worked", "tvc-json-worked", "tvc-pair", "tvc-json-pair", "tvc-one-hole",
+             "tvc-json-one-hole", "sh1-one-hole", "sh1-no-hole", "plan-worked",
+             "plan-witness", "plan-witness-elsewhere"],
+    )
+    def test_output_digest(self, cfg_file, tmp_path, capsys, argv, cfg, plan, digest):
+        argv = [*argv, cfg_file("cfg.json", validate(*cfg))]
+        if plan is not None:
+            witness = (
+                worked_instance_plan() if plan == "worked" else build_witness_plan(validate(*plan))
+            )
+            plan_path = tmp_path / "plan.json"
+            plan_path.write_text(plan_to_json(witness))
+            argv.append(str(plan_path))
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,11 +26,12 @@ from fssp_holes.grid import (
     mh_distance,
     pattern_of,
     regions,
+    square_rows,
     validate,
     via_distance,
 )
 
-from conftest import make_random_config
+from conftest import make_random_config, serpentine_maze
 
 
 class TestValidate:
@@ -200,6 +203,22 @@ class TestFileFormats:
         assert text.splitlines()[0] == "w=5"
         # y=w row first, y=0 row last; hole (2,2) sits 2 up from the bottom
         assert text.splitlines()[1 + (5 - 2)][2] == "#"
+
+    def test_json_load_is_linear_in_the_holes(self):
+        # An integer check quadratic in the holes took tens of seconds here.
+        maze = serpentine_maze(400)
+        text = dump_json(maze)
+        t0 = time.process_time()
+        assert load_json(text) == maze
+        assert time.process_time() - t0 < 5
+
+    def test_square_rows_run_north_to_south_and_west_to_east(self):
+        cfg = validate(3, [(1, 2)])
+        rows = square_rows(cfg, lambda p: p, hole=None)
+        assert rows[0] == [(0, 3), (1, 3), (2, 3), (3, 3)]
+        assert rows[1] == [(0, 2), None, (2, 2), (3, 2)]
+        assert rows[-1] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert ["".join(row) for row in square_rows(cfg, lambda p: ".")][1] == ".#.."
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))

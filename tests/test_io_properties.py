@@ -24,7 +24,8 @@ from fssp_holes.grid import (
     load_json,
     validate,
 )
-from fssp_holes.sim.plan import MessagePlan, plan_from_json, plan_to_json
+from fssp_holes.shapes import compute_ck
+from fssp_holes.sim.plan import MessagePlan, plan_from_json, plan_to_json, worked_instance_plan
 
 
 @st.composite
@@ -156,3 +157,35 @@ def test_malformed_file_exit_2_with_code(tmp_path, capsys, data):
     doc = json.loads(captured.out)
     assert doc["valid"] is False and doc["error"] == "ParseError", (data, doc)
     assert "Traceback" not in captured.err
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", None, [2], {"x": 2}], ids=repr)
+def test_every_json_reader_rejects_a_non_integer(tmp_path, bad):
+    """Configurations, plans and checkpoints share one integer check."""
+    doc = json.loads(dump_json(validate(5, [(2, 2), (3, 1)])))
+    _put(doc, ("holes", 1, 1), bad)
+    with pytest.raises(ParseError):
+        load_json(json.dumps(doc))
+    slots = [("target_size",), ("slack",), ("groups", 0, 0, 0, 1), ("groups", 0, 0, 1),
+             ("pattern", "holes", 2, 0)]
+    for slot in slots:
+        doc = json.loads(plan_to_json(worked_instance_plan()))
+        _put(doc, slot, bad)
+        with pytest.raises(ParseError):
+            plan_from_json(json.dumps(doc))
+    path = tmp_path / "ck.jsonl"
+    compute_ck(3, checkpoint=str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    at = next(i for i, r in enumerate(records) if r["arg"])
+    for slot in [("row0",), ("best",), ("arg", 0, 2)]:
+        doc = json.loads(json.dumps(records[at]))
+        _put(doc, slot, bad)
+        path.write_text("".join(json.dumps(r) + "\n" for r in [*records[:at], doc]))
+        with pytest.raises(ParseError):
+            compute_ck(3, jobs=1, checkpoint=str(path))

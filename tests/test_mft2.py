@@ -11,17 +11,17 @@ from fssp_holes.errors import (
     SizeTooSmallError,
     WrongHoleCountError,
 )
-from fssp_holes.grid import Position, regions, validate
+from fssp_holes.grid import Pattern, Position, regions, validate
 from fssp_holes.mft2 import (
     build_witness_plan,
     classify,
     thm_appendix_check,
     type_of,
 )
-from fssp_holes.sim.plan import check_c_conditions, run_message_plan
+from fssp_holes.sim.plan import MessagePlan, check_c_conditions, run_message_plan
 from fssp_holes.timebounds import certificate_search_report, max_t, verify_certificate
 
-from conftest import make_random_config
+from conftest import all_two_hole_configs, make_random_config
 
 
 class TestTypeOf:
@@ -173,6 +173,54 @@ class TestWitnessPlans:
     def test_slow_case_has_no_plan(self):
         with pytest.raises(NotUpperBoundCaseError):
             build_witness_plan(validate(12, [(4, 6), (5, 7)]))
+
+
+def _transpose_cfg(cfg):
+    return validate(cfg.size, [(h.y, h.x) for h in cfg.holes])
+
+
+def _transpose_plan(plan):
+    flip = lambda p: Position(p[1], p[0])
+    return MessagePlan(
+        plan.target_size,
+        plan.slack,
+        tuple(tuple((flip(site), off) for site, off in group) for group in plan.groups),
+        Pattern(frozenset(map(flip, plan.pattern.domain)), frozenset(map(flip, plan.pattern.holes))),
+    )
+
+
+def _as_sets(plan):
+    """A plan up to the order of its groups and of the sites in a group."""
+    return plan.target_size, plan.slack, frozenset(map(frozenset, plan.groups)), plan.pattern
+
+
+@pytest.mark.parametrize("w", [11, 12, 13])
+def test_witness_plans_match_the_reflected_frame(w):
+    """The transposed configuration's plan, transposed back, is the plan.
+
+    A U-V pair whose V hole is on the vertical arm was built that way, in the
+    reflected frame, so there the two plans are equal as tuples.  Elsewhere
+    they are equal up to group and site order, except for a U-V pair whose
+    V hole is the V corner: it lies on both arms, the horizontal one is
+    taken, and the reflected plan is another plan that passes the checks.
+    """
+    fam = regions(w)
+    corner_cases = 0
+    for cfg in all_two_hole_configs(w):
+        if mft2.is_slow_case(cfg):
+            continue
+        plan = build_witness_plan(cfg)
+        reflected = _transpose_plan(build_witness_plan(_transpose_cfg(cfg)))
+        u_v_pair = type_of(cfg).counts == (1, 1, 0, 0)
+        v1 = next((h for h in cfg.holes if h in fam.V), None)
+        if u_v_pair and v1.y != w // 2:
+            assert plan == reflected, cfg
+        elif u_v_pair and v1 == fam.v_cnt:
+            corner_cases += 1
+            assert check_c_conditions(reflected, cfg).ok, cfg
+        else:
+            assert _as_sets(plan) == _as_sets(reflected), cfg
+    assert corner_cases == (w // 2 - 1) ** 2  # every interior U cell
 
 
 class TestAppendixPredicate:
