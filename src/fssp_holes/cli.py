@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -273,6 +274,16 @@ def repro_tables(ks, jobs: int = 1) -> RunReport:
     )
 
 
+def _add_log_level(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--log-level",
+        type=str.upper,
+        default="WARNING",
+        choices=["WARNING", "INFO"],
+        help="INFO writes one record per finished c_k task to stderr",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fssp-holes",
@@ -309,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--list-argmax", action="store_true")
     p.add_argument("--checkpoint", default=None, help="resumable per-task results file")
+    _add_log_level(p)
     p.set_defaults(fn=_cmd_ck)
 
     p = sub.add_parser("tvc", help="through-corner time bound table")
@@ -336,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", required=True, help="comma-separated k values")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--json", action="store_true")
+    _add_log_level(p)
     p.set_defaults(fn=_cmd_repro_tables)
 
     return parser
@@ -343,6 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if "log_level" in args:
+        logging.basicConfig(
+            level=args.log_level, stream=sys.stderr, format="%(asctime)s %(name)s: %(message)s"
+        )
     try:
         return args.fn(args)
     except BudgetExceededError as exc:

@@ -2,7 +2,8 @@
 
 Distances come two ways: _bfs builds a full distance field (distance_grid),
 and the free-mask engine (free_mask, layers, ball, radius, walk_mask)
-answers threshold questions with one big int per configuration.
+answers threshold questions with one big int per configuration or per
+enlarged barrier-shape rectangle (the shape scan of shapes).
 
 Coordinates follow one convention everywhere: origin (0, 0) at the general
 in the southwest corner, x grows to the east, y grows to the north.  A
@@ -267,12 +268,17 @@ def _field(free: int, stride: int, start: int) -> list[int]:
     unreached."""
     n = (free.bit_length() // stride + 1) * stride
     blocked = [i for i, c in enumerate(format(free, f"0{n}b")[::-1]) if c == "0"]
-    starts = []
-    while start:
-        low = start & -start
-        starts.append(low.bit_length() - 1)
-        start ^= low
-    return _bfs(n // stride, stride, blocked, *starts)
+    return _bfs(n // stride, stride, blocked, *_set_bits(start))
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _mask_where(flags: list[bool]) -> int:

@@ -14,12 +14,15 @@ maximised over all shapes with at most k holes to give c_k.
 from __future__ import annotations
 
 import json
+import logging
 import os
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, getitem
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, repeat
+from math import comb
+from operator import getitem, or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -29,7 +32,9 @@ from .errors import (
     UnreachableError,
     WrongHoleCountError,
 )
-from .grid import Position, _bfs, _only_ints
+from .grid import Position, _field, _mask_where, _only_ints, _set_bits, layers
+
+logger = logging.getLogger(__name__)
 
 #: The largest k that enumerate_shapes and compute_ck accept.
 HARD_MAX_K = 8
@@ -152,38 +157,37 @@ def _shape_from_rows(width: int, height: int, row_masks: tuple[int, ...]) -> Bar
     return BarrierShape(width, height, holes)
 
 
-def _enlarged_holes(shape: BarrierShape) -> list[int]:
-    """Hole indices in the enlarged rectangle [-1..W] x [-1..H]."""
-    hy = shape.height + 2
-    return [(x + 1) * hy + y + 1 for x, y in shape.holes]
+# The enlarged rectangle [-1..W] x [-1..H] of a W x H shape is a free mask
+# (grid's free-mask engine) of stride H + 3: cell (x, y) is bit
+# (x + 1) * stride + y + 1, and every column ends in a zero guard bit.  Bit
+# order is the order of x, then y.  Its NW corner (-1, H) is bit H + 1 and
+# its SE corner (W, -1) is bit (W + 1) * stride.
 
 
-def _all_nodes_reach_ring(nw: list[int], n_holes: int) -> bool:
-    """True iff no node of the shape is sealed off from the surrounding ring.
-
-    A shape with a hole-enclosed pocket of nodes cannot occur inside a
-    connected configuration, so it is not a member of the shape space.
-    nw is any distance field of the enlarged rectangle from its ring, where
-    only holes and unreached nodes read -1.
-    """
-    return nw.count(-1) == n_holes
+def _corner_bits(width: int, height: int) -> tuple[int, int, int]:
+    """(stride, NW corner mask, SE corner mask) of the enlarged rectangle."""
+    stride = height + 3
+    return stride, 1 << height + 1, 1 << (width + 1) * stride
 
 
 def enumerate_shapes(k: int) -> Iterator[BarrierShape]:
     """Every barrier shape with at most k holes, each exactly once.
 
     Raw grids: transposes and reflections are distinct shapes.  Shapes whose
-    nodes cannot all reach the surrounding hole-free ring are excluded.
+    nodes cannot all reach the surrounding hole-free ring are excluded: a
+    hole-enclosed pocket of nodes cannot occur inside a connected
+    configuration.  The NW corner's layers cover every free cell exactly
+    when no node is sealed off.
     """
     _check_k(k, 1)
     for width in range(1, k + 1):
         for height in range(1, k + 1):
+            stride, nw_corner, _ = _corner_bits(width, height)
+            _, row_holes, full, _ = _slab_tables(width, height)
             for row_masks in _iter_hole_masks(width, height, k):
-                shape = _shape_from_rows(width, height, row_masks)
-                holes = _enlarged_holes(shape)
-                nw = _bfs(width + 2, height + 2, holes, height + 1)  # from (-1, H)
-                if _all_nodes_reach_ring(nw, len(holes)):
-                    yield shape
+                free = full ^ sum(map(getitem, row_holes, row_masks))
+                if reduce(or_, layers(free, stride, nw_corner)) == free:
+                    yield _shape_from_rows(width, height, row_masks)
 
 
 def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
@@ -191,14 +195,18 @@ def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
     p = Position(*p)
     if p in shape.holes or not (0 <= p.x < shape.width and 0 <= p.y < shape.height):
         raise UnreachableError(f"{tuple(p)} is not a node of the shape")
-    wx, hy = shape.width + 2, shape.height + 2
-    holes = _enlarged_holes(shape)
-    nw = _bfs(wx, hy, holes, hy - 1)  # from (-1, H)
-    se = _bfs(wx, hy, holes, (wx - 1) * hy)  # from (W, -1)
-    i = (p.x + 1) * hy + (p.y + 1)
-    if nw[i] < 0 or se[i] < 0:
+    stride, nw_corner, se_corner = _corner_bits(shape.width, shape.height)
+    # One flag per bit, guard bits off: linear in the cells, however many holes.
+    free = _mask_where([
+        y <= shape.height + 1 and (x - 1, y - 1) not in shape.holes
+        for x in range(shape.width + 2)
+        for y in range(stride)
+    ])
+    bit = (p.x + 1) * stride + p.y + 1
+    d0, d1 = (_field(free, stride, corner)[bit] for corner in (nw_corner, se_corner))
+    if d0 < 0 or d1 < 0:
         raise UnreachableError(f"{tuple(p)} unreachable inside the enlarged rectangle")
-    return nw[i], se[i]
+    return d0, d1
 
 
 def e_of(shape: BarrierShape, p: tuple[int, int], delta: int) -> int:
@@ -255,34 +263,40 @@ def _group_maps(width: int, height: int) -> list:
     ]
 
 
-def _row_table(width: int, height: int, cell) -> list[list[list]]:
-    """table[y][m]: cell(x, y) for each hole x of row mask m in row y.
-
-    Lists, not tuples: freed tuples of these small sizes stay on the
-    interpreter's free lists and would raise the scan's peak memory.
-    """
+def _row_table(width: int, height: int, bit) -> list[list[int]]:
+    """table[y][m]: the mask with bit bit(x, y) for each hole x of row mask m in row y."""
     return [
-        [[cell(x, y) for x in range(width) if m >> x & 1] for m in range(1 << width)]
+        [sum(1 << bit(x, y) for x in range(width) if m >> x & 1) for m in range(1 << width)]
         for y in range(height)
     ]
 
 
 @lru_cache(maxsize=1)  # a slab's tasks arrive one after another
 def _slab_tables(width: int, height: int) -> tuple:
-    """One slab's scan tables: per group map into the slab, row and row mask the image's
-    hole bits; per row and row mask the enlarged-rectangle hole indices; its node indices."""
-    ny = height + 2
+    """One slab's tables: per group map into the slab, row and row mask, the
+    image's row-major hole bits; per row and row mask, the hole bits of the
+    enlarged rectangle; every cell of that rectangle; and the slab's cells."""
+    stride = height + 3
     image_bits = [
-        [
-            [sum(1 << (py * width + px) for px, py in cells) for cells in row]
-            for row in _row_table(width, height, f)
-        ]
+        _row_table(width, height, lambda x, y, f=f: f(x, y)[1] * width + f(x, y)[0])
         for slab, f in _group_maps(width, height)
         if slab == (width, height)
     ]
-    row_holes = _row_table(width, height, lambda x, y: (x + 1) * ny + y + 1)
-    cells = {(x + 1) * ny + y + 1 for x in range(width) for y in range(height)}
-    return image_bits, row_holes, cells
+    row_holes = _row_table(width, height, lambda x, y: (x + 1) * stride + y + 1)
+    column = (1 << height + 2) - 1
+    full = sum(column << x * stride for x in range(width + 2))
+    inner = sum(column >> 2 << x * stride + 1 for x in range(1, width + 1))
+    return image_bits, row_holes, full, inner
+
+
+def _at_least(nw: list[int], se: list[int], n: int) -> int:
+    """The cells with d0 + d1 >= n, from the NW corner's layers (nw[i] at
+    d0 = i) and the SE corner's balls (se[j] at d1 <= j): layer i less
+    ball n - 1 - i.  Balls past the last are every cell."""
+    out = reduce(or_, nw[n:], 0)
+    for i in range(max(n - len(se), 0), min(n, len(nw))):
+        out |= nw[i] & ~se[n - 1 - i]
+    return out
 
 
 def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
@@ -291,45 +305,52 @@ def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
     e2 = 2 e_max is invariant under rot180, transpose and anti-transpose:
     each map swaps the NW and SE corners of the enlarged rectangle, so d0
     and d1 swap.  Only the shape with the smallest row-major hole mask in
-    its orbit under the group maps that keep the slab runs the two corner
-    BFS.  Its shapes and pairs count once per distinct image, so the counts
-    equal a scan of every raw shape of the slab, and of the (height, width)
-    slab by transpose.  A rep (mask, x, y) is a representative's argmax
-    node; _orbit_keys gives its images in both slabs.
+    its orbit under the group maps that keep the slab grows the two corner
+    searches.  Its shapes and pairs count once per distinct image, so the
+    counts equal a scan of every raw shape of the slab, and of the
+    (height, width) slab by transpose.  A rep (mask, x, y) is a
+    representative's argmax node; _orbit_keys gives its images in both
+    slabs.
+
+    best is the largest e2 = d0 + d1 - corners so far.  d0 + d1 reads
+    exactly `corners` on the ring (Manhattan distances there) and no less
+    at a node, and it has the parity of `corners` everywhere (the grid is
+    bipartite), so e2 is even.  A shape is first asked for cells at
+    e2 >= max(best, 0); none, the usual case, skips it.  Otherwise e2 steps
+    up by 2 while cells remain, and the last cells found are its top.
     """
-    nx, ny = width + 2, height + 2
-    nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
+    stride, nw_corner, se_corner = _corner_bits(width, height)
     corners = width + height + 2
-    area = width * height
-    image_bits, row_holes, cells = _slab_tables(width, height)
+    image_bits, row_holes, full, inner = _slab_tables(width, height)
     shapes = pairs = 0
     best = -1
-    reps: list[tuple[int, int]] = []
+    reps: list[tuple[int, int, int]] = []
     for rows in _iter_hole_masks(width, height, k, first_masks):
         images = [sum(map(getitem, bits, rows)) for bits in image_bits]
         if min(images) < images[0]:
             continue  # not the orbit's representative
-        holes = list(chain.from_iterable(map(getitem, row_holes, rows)))
-        nw = _bfs(nx, ny, holes, nw_corner)
-        if not _all_nodes_reach_ring(nw, len(holes)):
-            continue
+        free = full ^ sum(map(getitem, row_holes, rows))
+        nw = list(layers(free, stride, nw_corner))
+        if reduce(or_, nw) != free:
+            continue  # a node is sealed off from the ring
         weight = len(set(images))
         shapes += weight
-        if len(holes) == area:
-            continue  # no nodes
-        pairs += weight * (area - len(holes))
-        # d0 + d1 over the whole enlarged rectangle.  It reads exactly
-        # `corners` on the ring (Manhattan distances there) and no less at a
-        # node, so the maximum is a node's; holes read -2.
-        sums = list(map(add, nw, _bfs(nx, ny, holes, se_corner)))
-        top = max(sums)
-        if top - corners < best:
+        nodes = free & inner
+        if not nodes:
             continue
-        if top - corners > best:
-            best = top - corners
+        pairs += weight * nodes.bit_count()
+        se = list(accumulate(layers(free, stride, se_corner), or_))
+        e2 = max(best, 0)
+        top = _at_least(nw, se, corners + e2)
+        if not top:
+            continue
+        while higher := _at_least(nw, se, corners + e2 + 2):
+            top, e2 = higher, e2 + 2
+        if e2 > best:
+            best = e2
             reps = []
-        reps += [(images[0], i) for i, s in enumerate(sums) if s == top and i in cells]
-    return shapes, pairs, best, [(mask, i // ny - 1, i % ny - 1) for mask, i in reps]
+        reps += [(images[0], b // stride - 1, b % stride - 1) for b in _set_bits(top & inner)]
+    return shapes, pairs, best, reps
 
 
 def _orbit_keys(width: int, height: int, mask: int, x: int, y: int) -> set:
@@ -412,6 +433,28 @@ def _append_checkpoint(path: str, k: int, task: tuple[int, int, int], result: Sc
         fh.write(json.dumps(record) + "\n")
 
 
+@lru_cache(maxsize=None)  # a few dozen (w, h, k, used) per k; repeated rows pay once
+def _task_shapes(width: int, height: int, k: int, used: int) -> int:
+    """How many row masks _iter_hole_masks(width, height, k, (row0,)) yields
+    for a first row row0 of `used` holes, counted without listing them: the
+    rows after the first are nonempty, hold at most k - used holes in all,
+    and cover the columns row0 leaves open.  Inclusion-exclusion over the
+    open columns left uncovered; with c columns allowed, the coefficients of
+    ((1 + x)^c - 1)^(height - 1) count the rows by holes."""
+    left = k - used
+    total = 0
+    for j in range(width - used + 1):
+        row = [comb(width - j, t) for t in range(min(width - j, left) + 1)]
+        ways = [1] + [0] * left  # ways[i]: the rows so far, with i holes
+        for _ in range(height - 1):
+            ways = [
+                sum(ways[i - t] * row[t] for t in range(1, min(i, len(row) - 1) + 1))
+                for i in range(left + 1)
+            ]
+        total += (-1) ** j * comb(width - used, j) * sum(ways)
+    return total
+
+
 def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult:
     """Exact maximum of e_max over all (shape, node) pairs, with counts.
 
@@ -422,7 +465,9 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
     hole mask: one _scan_shapes call, run in a pool of at most jobs
     processes, and one checkpoint record (k, w, h, row0, counts, reps) to
     resume from at any jobs.  Only the reps at the best e2 are expanded
-    into argmax pairs (_orbit_keys), once.
+    into argmax pairs (_orbit_keys), once.  Each task this run finishes
+    logs one INFO record: tasks done of this run's total, the task, the time
+    elapsed and an ETA from the time per unit of task weight so far.
     """
     _check_k(k, 2)  # smaller k admit no node pairs
     done = _load_checkpoint(checkpoint, k) if checkpoint else {}
@@ -437,13 +482,26 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
     workers = min(jobs, len(todo))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
+    # Tasks grow from small slabs to large ones, so the ETA weighs each by
+    # its shapes, plus one for its fixed cost.  On k = 7 at jobs 1 it read
+    # 0.8-1.4x the time left from 10% to 90% of the run; one weight per
+    # task read 0.1-0.4x.
+    weights = [1 + _task_shapes(w, h, k, row0.bit_count()) for w, h, row0 in todo]
+    total = left = sum(weights)
+    start = time.perf_counter()
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         columns = [t[0] for t in todo], [t[1] for t in todo], repeat(k), [(t[2],) for t in todo]
         scanned = (pool.map if pool else map)(_scan_shapes, *columns)
-        for task, result in zip(todo, scanned):
+        for n, (task, weight, result) in enumerate(zip(todo, weights, scanned), 1):
             done[task] = result
             if checkpoint:
                 _append_checkpoint(checkpoint, k, task, result)
+            left -= weight
+            elapsed = time.perf_counter() - start
+            logger.info(
+                "k=%d: task %d/%d (w=%d, h=%d, row0=%d) done, %.2f s elapsed, ETA %.2f s",
+                k, n, len(todo), *task, elapsed, elapsed * left / (total - left),
+            )
 
     results = [(w, h, done[w, h, row0]) for w, h, row0 in tasks]
     shape_count = sum((2 if w < h else 1) * r[0] for w, h, r in results)

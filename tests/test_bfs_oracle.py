@@ -1,11 +1,13 @@
 """The grid distance engines against a plain dict-based BFS.
 
 distance_grid (configurations) and d0_d1 (enlarged rectangles of barrier
-shapes) both run on grid._bfs; the free-mask engine (free_mask, layers,
-ball, radius, walk_mask), and max_t on it, answer threshold questions with
-big ints.  Each is compared here with an independent breadth-first search
-over explicit cell sets.  The engine's searches finish on a _bfs field past
-a layer cap; the tests shrink the cap to run that path on small squares.
+shapes, as free masks) run on grid._bfs; the free-mask engine (free_mask,
+layers, ball, radius, walk_mask), and max_t on it, answer threshold
+questions with big ints.  Each is compared here with an independent
+breadth-first search over explicit cell sets, and d0_d1 also with _bfs
+fields on every shape of at most 5 holes.  The engine's searches finish on
+a _bfs field past a layer cap; the tests shrink the cap to run that path on
+small squares.
 """
 
 from collections import deque
@@ -87,6 +89,17 @@ def test_d0_d1_matches_oracle(shape):
     se = oracle_bfs(cells, (shape.width, -1))
     for p in shape.nodes():
         assert d0_d1(shape, p) == (nw[p], se[p])
+
+
+def test_d0_d1_matches_bfs_fields_on_every_small_shape():
+    for shape in SHAPES:
+        wx, hy = shape.width + 2, shape.height + 2
+        holes = [(x + 1) * hy + y + 1 for x, y in shape.holes]
+        nw = _bfs(wx, hy, holes, hy - 1)  # from (-1, H)
+        se = _bfs(wx, hy, holes, (wx - 1) * hy)  # from (W, -1)
+        got = [d0_d1(shape, p) for p in shape.nodes()]
+        assert got == [(nw[(p.x + 1) * hy + p.y + 1], se[(p.x + 1) * hy + p.y + 1])
+                       for p in shape.nodes()], shape
 
 
 @given(

@@ -1,26 +1,35 @@
-"""The symmetry-reduced c_k scan against the unreduced scan it replaced,
-kept here as an oracle.
+"""The symmetry-reduced c_k scan against the scans it replaced, kept here
+as oracles.
 
 * The unreduced scan: every raw shape of a (W, H) slab builds its
-  BarrierShape and runs both corner BFS, each node is one pair, and every
-  node of the best e2 is an argmax key.  A reduced scan of a W <= H slab
-  must give the oracle's counts and best for (W, H) and (H, W), and the
-  _orbit_keys images of its reps must be each slab's argmax keys.
+  BarrierShape and runs both corner BFS (grid._bfs fields), each node is
+  one pair, and every node of the best e2 is an argmax key.  A reduced scan
+  of a W <= H slab must give the oracle's counts and best for (W, H) and
+  (H, W), and the _orbit_keys images of its reps must be each slab's argmax
+  keys.
+* The list-based reduced scan: the same orbit representatives, with two
+  full _bfs fields per shape and index tables, as _scan_shapes ran before
+  it moved onto bit layers.  Every (W, H, first row) task must give the same
+  ScanResult, reps in the same order, so checkpoint records keep their bytes.
 * The row-mask enumerator against brute force: every hole subset of the
   slab that covers each row and column.
 """
 
+import hashlib
 import json
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
+from operator import add, getitem
 
 import pytest
 
+from fssp_holes import shapes
+from fssp_holes.cli import main
 from fssp_holes.grid import Position, _bfs
 from fssp_holes.shapes import (
     BarrierShape,
     REFERENCE_CK_TABLE,
-    _all_nodes_reach_ring,
-    _enlarged_holes,
+    _group_maps,
     _iter_hole_masks,
     _orbit_keys,
     _scan_shapes,
@@ -28,6 +37,23 @@ from fssp_holes.shapes import (
     compute_ck,
     enumerate_shapes,
 )
+
+
+def _enlarged_holes(shape: BarrierShape) -> list[int]:
+    """Hole indices in the enlarged rectangle [-1..W] x [-1..H]."""
+    hy = shape.height + 2
+    return [(x + 1) * hy + y + 1 for x, y in shape.holes]
+
+
+def _all_nodes_reach_ring(nw: list[int], n_holes: int) -> bool:
+    """True iff no node of the shape is sealed off from the surrounding ring.
+
+    A shape with a hole-enclosed pocket of nodes cannot occur inside a
+    connected configuration, so it is not a member of the shape space.
+    nw is any distance field of the enlarged rectangle from its ring, where
+    only holes and unreached nodes read -1.
+    """
+    return nw.count(-1) == n_holes
 
 
 def scan_every_shape(width: int, height: int, row_tuples):
@@ -82,6 +108,133 @@ def check_slab(width, height, result, oracle):
             keys[key[:2]].add(key)
     for (w, h), got in keys.items():
         assert (shapes_n, pairs_n, best, sorted(got)) == oracle(w, h), (w, h)
+
+
+# --- the list-based reduced scan ------------------------------------------
+
+
+def _row_table(width: int, height: int, cell) -> list[list[list]]:
+    """table[y][m]: cell(x, y) for each hole x of row mask m in row y."""
+    return [
+        [[cell(x, y) for x in range(width) if m >> x & 1] for m in range(1 << width)]
+        for y in range(height)
+    ]
+
+
+@lru_cache(maxsize=1)
+def _slab_tables(width: int, height: int) -> tuple:
+    """Per group map into the slab, row and row mask the image's hole bits;
+    per row and row mask the enlarged-rectangle hole indices; its node indices."""
+    ny = height + 2
+    image_bits = [
+        [
+            [sum(1 << (py * width + px) for px, py in cells) for cells in row]
+            for row in _row_table(width, height, f)
+        ]
+        for slab, f in _group_maps(width, height)
+        if slab == (width, height)
+    ]
+    row_holes = _row_table(width, height, lambda x, y: (x + 1) * ny + y + 1)
+    cells = {(x + 1) * ny + y + 1 for x in range(width) for y in range(height)}
+    return image_bits, row_holes, cells
+
+
+def list_scan_shapes(width: int, height: int, k: int, first_masks):
+    """The reduced scan of one slab on two _bfs fields per representative."""
+    nx, ny = width + 2, height + 2
+    nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
+    corners = width + height + 2
+    area = width * height
+    image_bits, row_holes, cells = _slab_tables(width, height)
+    shapes_n = pairs = 0
+    best = -1
+    reps: list[tuple[int, int]] = []
+    for rows in shapes._iter_hole_masks(width, height, k, first_masks):
+        images = [sum(map(getitem, bits, rows)) for bits in image_bits]
+        if min(images) < images[0]:
+            continue  # not the orbit's representative
+        holes = list(chain.from_iterable(map(getitem, row_holes, rows)))
+        nw = _bfs(nx, ny, holes, nw_corner)
+        if not _all_nodes_reach_ring(nw, len(holes)):
+            continue
+        weight = len(set(images))
+        shapes_n += weight
+        if len(holes) == area:
+            continue  # no nodes
+        pairs += weight * (area - len(holes))
+        sums = list(map(add, nw, _bfs(nx, ny, holes, se_corner)))
+        top = max(sums)
+        if top - corners < best:
+            continue
+        if top - corners > best:
+            best = top - corners
+            reps = []
+        reps += [(images[0], i) for i, s in enumerate(sums) if s == top and i in cells]
+    return shapes_n, pairs, best, [(mask, i // ny - 1, i % ny - 1) for mask, i in reps]
+
+
+def tasks(k: int):
+    """Every (w, h, row0) task of compute_ck(k)."""
+    return [
+        (w, h, row0)
+        for w in range(1, k + 1)
+        for h in range(w, k + 1)
+        for row0 in range(1, 1 << w)
+        if bin(row0).count("1") <= k - (h - 1)
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_every_task_matches_the_list_scan(k):
+    for w, h, row0 in tasks(k):
+        assert _scan_shapes(w, h, k, (row0,)) == list_scan_shapes(w, h, k, (row0,)), (w, h, row0)
+
+
+def test_fresh_k6_checkpoint_keeps_its_bytes(tmp_path, capsys):
+    """A k=6 checkpoint file written by the list scan had this sha256, so
+    version-4 files written by it resume unchanged."""
+    path = tmp_path / "ck6.jsonl"
+    assert main(["ck", "--k", "6", "--jobs", "1", "--checkpoint", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7b947923462991c4b33583f516c686bea7a896aad54623886ce6c22bd39ace36"
+    )
+
+
+# --- the threshold path, on hand-fed slabs --------------------------------
+
+#: name: (width, height, row masks fed in order, expected ScanResult).
+THRESHOLD_CASES = {
+    # W < H: a second shape at the running best appends its reps.
+    "equal-top-appends": (2, 3, [(1, 1, 2), (1, 2, 1)],
+                          (4, 12, 2, [(37, 0, 2), (37, 1, 0), (37, 1, 1), (25, 0, 1), (25, 1, 0)])),
+    # W = H: the same at e2 = 4.
+    "equal-top-appends-square": (3, 3, [(3, 4, 2), (3, 4, 4)],
+                                 (6, 30, 4, [(163, 1, 1), (291, 1, 1)])),
+    # A top below the running best counts its shapes and pairs, no reps.
+    "lower-top-skipped": (2, 3, [(1, 1, 2), (2, 1, 1)],
+                          (4, 12, 2, [(37, 0, 2), (37, 1, 0), (37, 1, 1)])),
+    "lower-top-skipped-square": (3, 3, [(3, 4, 2), (1, 6, 1)],
+                                 (8, 40, 4, [(163, 1, 1)])),
+    # A higher top resets the reps.
+    "higher-top-resets": (2, 3, [(2, 1, 1), (1, 1, 2)],
+                          (4, 12, 2, [(37, 0, 2), (37, 1, 0), (37, 1, 1)])),
+    # Every cell a hole: a shape with no pairs, before and after a node shape.
+    "all-holes": (2, 3, [(3, 3, 3)], (1, 0, -1, [])),
+    "all-holes-square": (2, 2, [(3, 3)], (1, 0, -1, [])),
+    "all-holes-then-nodes": (2, 3, [(3, 3, 3), (2, 1, 1), (3, 3, 3)],
+                             (4, 6, 0, [(22, 0, 0), (22, 1, 1), (22, 1, 2)])),
+    # Nodes sealed off from the ring: not a shape at all.
+    "sealed-pocket-square": (3, 3, [(2, 5, 2)], (0, 0, -1, [])),
+    "sealed-pocket": (3, 4, [(2, 5, 5, 2)], (0, 0, -1, [])),
+}
+
+
+@pytest.mark.parametrize("name", list(THRESHOLD_CASES))
+def test_threshold_path(monkeypatch, name):
+    width, height, fed, want = THRESHOLD_CASES[name]
+    monkeypatch.setattr(shapes, "_iter_hole_masks", lambda *args: iter(fed))
+    assert _scan_shapes(width, height, 12, None) == want
+    assert list_scan_shapes(width, height, 12, None) == want
 
 
 def argmax_keys(result):

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,26 @@ class TestCk:
         code, out = run_cli(capsys, "ck", "--k", "2", "--list-argmax")
         payload = json.loads(out)
         assert len(payload["argmax"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [(["ck", "--k", "4", "--jobs", "1"], 25), (["repro-tables", "--ks", "2,3", "--jobs", "1"], 4 + 11)],
+)
+def test_log_level_writes_progress_to_stderr_only(argv, records):
+    def run(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "fssp_holes.cli", *argv, *extra],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        )
+
+    quiet, info = run(), run("--log-level", "INFO")
+    assert quiet.returncode == info.returncode == 0
+    assert quiet.stderr == b""
+    assert info.stdout == quiet.stdout
+    lines = info.stderr.decode().splitlines()
+    assert len(lines) == records and all("fssp_holes.shapes: k=" in line for line in lines)
 
 
 class TestClassifyAndCertify:

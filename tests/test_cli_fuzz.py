@@ -38,6 +38,7 @@ VALUES = {
     "--n": ["-3", "0", "1", "17", "100000", HUGE, "x"],
     "--t": ["-5", "0", "3", "24", HUGE, "x"],
     "--v": ["0,0", "6,0", "-1,5", "a,b", "1,2,3", HUGE + ",1", ""],
+    "--log-level": ["info", "WARNING", "DEBUG", "", "x", "10"],
     "--checkpoint": [],  # files, filled in by the pool fixture
 }
 

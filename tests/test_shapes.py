@@ -1,7 +1,12 @@
+import itertools
 import json
+import logging
+import re
+from types import SimpleNamespace
 
 import pytest
 
+from fssp_holes import shapes
 from fssp_holes.errors import (
     BudgetExceededError,
     CheckpointMismatchError,
@@ -174,6 +179,54 @@ class TestCk:
         # k=2 has 4 tasks: (w, h, row0) = (1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)
         with pytest.raises(AssertionError, match="a pool of 4 workers"):
             compute_ck(2, jobs=64)
+
+
+class TestProgressLog:
+    def _records(self, caplog):
+        return [r.getMessage() for r in caplog.records if r.name == "fssp_holes.shapes"]
+
+    def test_one_info_record_per_finished_task(self, caplog, tmp_path, monkeypatch):
+        # A clock that reads 0 at the start and gains 1 s per task.
+        ticks = itertools.count()
+        monkeypatch.setattr(shapes, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        caplog.set_level(logging.INFO, logger="fssp_holes.shapes")
+        path = tmp_path / "ck.jsonl"
+        compute_ck(4, jobs=1, checkpoint=str(path))
+        records = self._records(caplog)
+        assert len(records) == 25
+        assert records[0] == "k=4: task 1/25 (w=1, h=1, row0=1) done, 1.00 s elapsed, ETA 88.50 s"
+        assert records[9] == "k=4: task 10/25 (w=2, h=3, row0=3) done, 10.00 s elapsed, ETA 35.90 s"
+        assert records[-1] == "k=4: task 25/25 (w=4, h=4, row0=8) done, 25.00 s elapsed, ETA 0.00 s"
+        # Resumed: only the tasks left count, and their total is those left.
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:7]))
+        caplog.clear()
+        compute_ck(4, jobs=1, checkpoint=str(path))
+        records = self._records(caplog)
+        assert len(records) == 18 and records[-1].startswith("k=4: task 18/18 ")
+
+    def test_eta_weighs_each_task_by_its_shapes(self, caplog, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(shapes, "time", SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        caplog.set_level(logging.INFO, logger="fssp_holes.shapes")
+        compute_ck(5, jobs=1)
+        records = self._records(caplog)
+        tasks = [tuple(map(int, re.search(r"w=(\d+), h=(\d+), row0=(\d+)", r).groups()))
+                 for r in records]
+        weights = [1 + sum(1 for _ in shapes._iter_hole_masks(w, h, 5, (row0,)))
+                   for w, h, row0 in tasks]
+        for n, record in enumerate(records, 1):
+            done = sum(weights[:n])
+            assert record.endswith(f"ETA {n * (sum(weights) - done) / done:.2f} s"), record
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_task_shapes_counts_the_enumerated_row_masks(self, k):
+        for w in range(1, k + 1):
+            for h in range(w, k + 1):
+                for row0 in range(1, 1 << w):
+                    if row0.bit_count() <= k - (h - 1):
+                        assert shapes._task_shapes(w, h, k, row0.bit_count()) == sum(
+                            1 for _ in shapes._iter_hole_masks(w, h, k, (row0,))
+                        ), (w, h, row0)
 
 
 def _row(r):
