@@ -23,7 +23,6 @@ from .grid import (
     pattern_of,
     regions,
     validate,
-    via_distance,
 )
 from .barriers import Rect, corner_mh_access, is_barrier, maximal_barriers
 from .shapes import BarrierShape, ShapeEval, ck_bounds, compute_ck, d0_d1, e_of, enumerate_shapes, evaluate, h_kw

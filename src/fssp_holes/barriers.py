@@ -55,18 +55,13 @@ class Rect:
                 yield Position(x, y)
 
 
-def _holes_by_column(cfg: Configuration) -> dict[int, list[int]]:
-    cols: dict[int, list[int]] = {}
-    for h in sorted(cfg.holes):
-        cols.setdefault(h.x, []).append(h.y)
-    return cols
-
-
-def _holes_by_row(cfg: Configuration) -> dict[int, list[int]]:
-    rows: dict[int, list[int]] = {}
-    for h in sorted(cfg.holes, key=lambda p: (p.y, p.x)):
-        rows.setdefault(h.y, []).append(h.x)
-    return rows
+def _holes_by(cfg: Configuration, axis: int) -> dict[int, list[int]]:
+    """Per line, the sorted other coordinates of its holes: per column
+    (x -> ys) for axis 0, per row (y -> xs) for axis 1."""
+    lines: dict[int, list[int]] = {}
+    for h in sorted(cfg.holes, key=lambda p: (p[axis], p[1 - axis])):
+        lines.setdefault(h[axis], []).append(h[1 - axis])
+    return lines
 
 
 def _has_value_in(sorted_vals: list[int] | None, lo: int, hi: int) -> bool:
@@ -84,8 +79,8 @@ def _first_free(lines: dict[int, list[int]], lo: int, hi: int, a: int, b: int) -
 def is_barrier(cfg: Configuration, rect: Rect) -> bool:
     """True iff every column and every row of rect contains a hole of cfg."""
     return (
-        _first_free(_holes_by_column(cfg), rect.x0, rect.x1, rect.y0, rect.y1) is None
-        and _first_free(_holes_by_row(cfg), rect.y0, rect.y1, rect.x0, rect.x1) is None
+        _first_free(_holes_by(cfg, 0), rect.x0, rect.x1, rect.y0, rect.y1) is None
+        and _first_free(_holes_by(cfg, 1), rect.y0, rect.y1, rect.x0, rect.x1) is None
     )
 
 
@@ -102,8 +97,7 @@ def maximal_barriers(cfg: Configuration) -> frozenset[Rect]:
     """
     if not cfg.holes or cfg.size < 2:
         return frozenset()
-    cols = _holes_by_column(cfg)
-    rows = _holes_by_row(cfg)
+    cols, rows = _holes_by(cfg, 0), _holes_by(cfg, 1)
     work = [Rect(1, 1, cfg.size - 1, cfg.size - 1)]
     done: list[Rect] = []
     while work:

@@ -1,9 +1,11 @@
 """Core geometry: positions, configurations, distances, patterns, regions.
 
-Distances come two ways: _bfs builds a full distance field (distance_grid),
-and the free-mask engine (free_mask, layers, ball, radius, walk_mask)
-answers threshold questions with one big int per configuration or per
-enlarged barrier-shape rectangle (the shape scan of shapes).
+Every grid distance runs on one cell encoding, the free mask: node (x, y)
+is bit x * stride + y of one big int.  _bfs turns a free mask into a full
+distance field indexed by bit (distance_grid, validate), and the layer
+engine (layers, ball, radius, walk_mask) answers threshold questions with a
+few big-int operations per BFS layer, per configuration or per enlarged
+barrier-shape rectangle (the shape scan of shapes).
 
 Coordinates follow one convention everywhere: origin (0, 0) at the general
 in the southwest corner, x grows to the east, y grows to the north.  A
@@ -31,9 +33,9 @@ from .errors import (
     TooManyHolesError,
 )
 
-#: Largest square size a configuration file may ask for.  validate builds
-#: (w+1)^2-cell lists, so an unbounded size from a few bytes of input would
-#: cost time and memory growing as w^2.
+#: Largest square size a configuration file may ask for.  validate builds a
+#: free mask and a distance list of (w+1)(w+2) cells, so an unbounded size
+#: from a few bytes of input would cost time and memory growing as w^2.
 MAX_SIZE = 1024
 
 
@@ -91,7 +93,8 @@ class Configuration:
                 yield Position(x, y)
 
     def index(self, p: Position) -> int:
-        return p[0] * (self.size + 1) + p[1]
+        """p's bit in free_mask(self), and its entry in a distance_grid field."""
+        return p[0] * (self.size + 2) + p[1]
 
     def __str__(self) -> str:
         return dump_ascii(self)
@@ -122,13 +125,10 @@ def validate(size: int, holes: Iterable[tuple[int, int]]) -> Configuration:
                 witness=h,
             )
     cfg = Configuration(size, hs)
-    # One flood fill from the general; compare reached count with the node
-    # count.  Uncached: distance_grid's cache is for fields read again.
-    w1 = size + 1
-    dist = _bfs(w1, w1, [h.x * w1 + h.y for h in hs], 0)
-    reached = sum(1 for d in dist if d >= 0)
-    expected = w1 * w1 - len(hs)
-    if reached != expected:
+    # One flood fill from the general (bit 0); compare reached count with the
+    # node count.  Uncached: distance_grid's cache is for fields read again.
+    dist = _bfs(free_mask(cfg), size + 2, 1)
+    if len(dist) - dist.count(-1) != (size + 1) ** 2 - len(hs):
         witness = next(p for p in cfg.nodes() if dist[cfg.index(p)] < 0)
         raise DisconnectedError(
             f"node {tuple(witness)} unreachable from the general", witness=witness
@@ -141,60 +141,22 @@ def mh_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-def _bfs(nx: int, ny: int, blocked: list[int], *starts: int) -> list[int]:
-    """BFS distances to the nearest start on the nx x ny grid of cells
-    indexed x * ny + y.
-
-    The one grid BFS of the package: configurations, the enlarged
-    rectangles of barrier shapes and the free-mask engine's long searches
-    all run on it.  Blocked cells (holes) and cells the search does not
-    reach read -1.
-    """
-    dist = [-1] * (nx * ny)
-    for i in blocked:
-        dist[i] = -2
-    for i in starts:
-        dist[i] = 0
-    queue = deque(starts)
-    while queue:
-        i = queue.popleft()
-        d1 = dist[i] + 1
-        x, y = divmod(i, ny)
-        if x + 1 < nx and dist[i + ny] == -1:
-            dist[i + ny] = d1
-            queue.append(i + ny)
-        if x > 0 and dist[i - ny] == -1:
-            dist[i - ny] = d1
-            queue.append(i - ny)
-        if y + 1 < ny and dist[i + 1] == -1:
-            dist[i + 1] = d1
-            queue.append(i + 1)
-        if y > 0 and dist[i - 1] == -1:
-            dist[i - 1] = d1
-            queue.append(i - 1)
-    for i in blocked:
-        dist[i] = -1
-    return dist
-
-
 @lru_cache(maxsize=4096)
 def distance_grid(cfg: Configuration, source: Position) -> tuple[int, ...]:
-    """Cached BFS distance field from one source node of cfg."""
-    if not cfg.is_node(source):
-        raise NotANodeError(f"{tuple(source)} is not a node of the configuration")
-    w1 = cfg.size + 1
-    holes = [h.x * w1 + h.y for h in cfg.holes]
-    return tuple(_bfs(w1, w1, holes, source[0] * w1 + source[1]))
+    """Cached BFS distance field from one source node of cfg, indexed by
+    cfg.index; -1 at holes and guard bits."""
+    s = cfg.size + 2
+    return tuple(_bfs(free_mask(cfg), s, node_bit(cfg, source, s)))
 
 
 # ---------------------------------------------------------------------------
 # Free masks: one int per configuration for threshold questions
 #
 # Node (x, y) is bit x * stride + y, with stride >= w + 2: every column ends
-# in a zero guard bit, so bit order is nodes() order, a +-1 shift (north,
-# south) never wraps into the next column, and a +-stride shift moves east or
-# west.  A BFS layer is then a few big-int operations, which answers "is
-# d <= r?" for every node at once.
+# in a zero guard bit, so bit order is nodes() order, a +-1 step (north,
+# south) never wraps into the next column, and a +-stride step moves east or
+# west.  _bfs walks these bits one cell at a time; a BFS layer is a few
+# big-int operations, which answers "is d <= r?" for every node at once.
 #
 # A layer costs O(N) bit work for N cells whatever its size, so a search
 # that runs past _layer_cap layers (a maze, not a square with a few holes,
@@ -263,12 +225,38 @@ def layers(free: int, stride: int, start: int) -> Iterator[int]:
         unseen ^= frontier
 
 
-def _field(free: int, stride: int, start: int) -> list[int]:
-    """_bfs distances from the start mask, indexed by bit; -1 off free or
-    unreached."""
-    n = (free.bit_length() // stride + 1) * stride
-    blocked = [i for i, c in enumerate(format(free, f"0{n}b")[::-1]) if c == "0"]
-    return _bfs(n // stride, stride, blocked, *_set_bits(start))
+def _bfs(free: int, stride: int, start: int) -> list[int]:
+    """BFS distances from the start mask over the free mask, indexed by bit
+    and filling whole columns; -1 for a cell off the mask or unreached.
+
+    The one queue BFS of the package: distance_grid, validate, d0_d1 and
+    the layer engine's long searches run on it.  Guard bits stop north and
+    south steps at the column ends; a padding column after the last, read
+    also by negative indices, stops steps off either end of the list.
+    """
+    n = -(-free.bit_length() // stride) * stride
+    # -1 unseen node, -2 off the mask or padding.
+    dist = [-1 if c == "1" else -2 for c in format(free, f"0{n + stride}b")[::-1]]
+    starts = _set_bits(start)
+    for i in starts:
+        dist[i] = 0
+    queue = deque(starts)
+    while queue:
+        i = queue.popleft()
+        d1 = dist[i] + 1
+        if dist[i + 1] == -1:
+            dist[i + 1] = d1
+            queue.append(i + 1)
+        if dist[i - 1] == -1:
+            dist[i - 1] = d1
+            queue.append(i - 1)
+        if dist[i + stride] == -1:
+            dist[i + stride] = d1
+            queue.append(i + stride)
+        if dist[i - stride] == -1:
+            dist[i - stride] = d1
+            queue.append(i - stride)
+    return [d if d >= 0 else -1 for d in dist[:n]]
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -293,7 +281,7 @@ def ball(free: int, stride: int, start: int, r: int) -> int:
         if d > r:
             break
         if d > _layer_cap(stride):
-            return _mask_where([0 <= x <= r for x in _field(free, stride, start)])
+            return _mask_where([0 <= x <= r for x in _bfs(free, stride, start)])
         out |= layer
     return out
 
@@ -303,7 +291,7 @@ def radius(free: int, stride: int, start: int) -> int:
     d = -1
     for d, _ in enumerate(layers(free, stride, start)):
         if d > _layer_cap(stride):
-            return max(_field(free, stride, start))
+            return max(_bfs(free, stride, start))
     return d
 
 
@@ -364,7 +352,7 @@ def walk_mask(free: int, stride: int, a: int, b: int, t: int) -> int:
     da = _distance_planes(free, stride, a)
     db = None if da is None else _distance_planes(free, stride, b)
     if db is None:
-        fa, fb = _field(free, stride, a), _field(free, stride, b)
+        fa, fb = _bfs(free, stride, a), _bfs(free, stride, b)
         return _mask_where([0 <= x and 0 <= y and x + y <= t for x, y in zip(fa, fb)])
     (reached_a, pa), (reached_b, pb) = da, db
     return _at_most(_plane_sum(pa, pb), t, reached_a & reached_b)
@@ -380,13 +368,6 @@ def bfs_distance(cfg: Configuration, a: tuple[int, int], b: tuple[int, int]) -> 
         # Cannot happen for a valid Configuration; guards hand-built ones.
         raise NotANodeError(f"{tuple(b)} unreachable from {tuple(a)}")
     return d
-
-
-def via_distance(
-    cfg: Configuration, a: tuple[int, int], c: tuple[int, int], b: tuple[int, int]
-) -> int:
-    """d_C(a, c) + d_C(c, b)."""
-    return bfs_distance(cfg, a, c) + bfs_distance(cfg, c, b)
 
 
 def boundary_condition(cfg: Configuration, v: tuple[int, int]) -> BoundaryCondition:

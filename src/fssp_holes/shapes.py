@@ -32,7 +32,7 @@ from .errors import (
     UnreachableError,
     WrongHoleCountError,
 )
-from .grid import Position, _field, _mask_where, _only_ints, _set_bits, layers
+from .grid import Position, _bfs, _mask_where, _only_ints, _set_bits, layers
 
 logger = logging.getLogger(__name__)
 
@@ -203,7 +203,7 @@ def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
         for y in range(stride)
     ])
     bit = (p.x + 1) * stride + p.y + 1
-    d0, d1 = (_field(free, stride, corner)[bit] for corner in (nw_corner, se_corner))
+    d0, d1 = (_bfs(free, stride, corner)[bit] for corner in (nw_corner, se_corner))
     if d0 < 0 or d1 < 0:
         raise UnreachableError(f"{tuple(p)} unreachable inside the enlarged rectangle")
     return d0, d1

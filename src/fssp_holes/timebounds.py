@@ -25,12 +25,12 @@ from .grid import (
     V_GEN,
     Configuration,
     Position,
+    bfs_distance,
     free_mask,
     node_bit,
     radius,
     regions,
     validate,
-    via_distance,
     walk_mask,
 )
 from .shapes import BarrierShape, e_of
@@ -51,12 +51,13 @@ def half_plane_set(w: int, name: str) -> frozenset[Position]:
 
 
 def t_of(cfg: Configuration, v: tuple[int, int]) -> int:
-    """min over the far corners (0,w), (w,0) of the through-corner distance."""
+    """min over the far corners (0,w), (w,0) of the through-corner distance.
+
+    The border holds no holes, so the general reaches either far corner in
+    w steps, and T(v, C) is w plus v's distance to the nearer far corner.
+    """
     w = cfg.size
-    return min(
-        via_distance(cfg, V_GEN, (0, w), v),
-        via_distance(cfg, V_GEN, (w, 0), v),
-    )
+    return w + min(bfs_distance(cfg, (0, w), v), bfs_distance(cfg, (w, 0), v))
 
 
 def max_t(cfg: Configuration) -> int:
@@ -310,6 +311,8 @@ def verify_certificate(chain: CertificateChain, check_equiv: bool = False) -> bo
     cfg = chain.initial
     w = cfg.size
     for step in chain.steps:
+        if step.half_plane not in HALF_PLANES:
+            return False
         if step.moved_from not in cfg.holes or step.moved_to in cfg.holes:
             return False
         try:

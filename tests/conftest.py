@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -22,6 +23,40 @@ def all_two_hole_configs(w: int):
     cells = [(x, y) for x in range(1, w) for y in range(1, w)]
     for a, b in itertools.combinations(cells, 2):
         yield validate(w, [a, b])
+
+
+def cell_bfs(nx: int, ny: int, blocked: list[int], *starts: int) -> list[int]:
+    """BFS distances to the nearest start on the nx x ny grid of cells
+    indexed x * ny + y; blocked and unreached cells read -1.
+
+    A reference kernel on explicit cell lists, independent of the library's
+    free-mask BFS, for the list-based oracles.
+    """
+    dist = [-1] * (nx * ny)
+    for i in blocked:
+        dist[i] = -2
+    for i in starts:
+        dist[i] = 0
+    queue = deque(starts)
+    while queue:
+        i = queue.popleft()
+        d1 = dist[i] + 1
+        x, y = divmod(i, ny)
+        if x + 1 < nx and dist[i + ny] == -1:
+            dist[i + ny] = d1
+            queue.append(i + ny)
+        if x > 0 and dist[i - ny] == -1:
+            dist[i - ny] = d1
+            queue.append(i - ny)
+        if y + 1 < ny and dist[i + 1] == -1:
+            dist[i + 1] = d1
+            queue.append(i + 1)
+        if y > 0 and dist[i - 1] == -1:
+            dist[i - 1] = d1
+            queue.append(i - 1)
+    for i in blocked:
+        dist[i] = -1
+    return dist
 
 
 def serpentine_maze(w: int) -> Configuration:

@@ -329,7 +329,7 @@ def test_criterion_11_pattern_equivalence_soundness():
     corners = {"H0": Position(0, 0), "H1": Position(0, w), "H2": Position(w, 0)}
     planes = {"H0": fam.H0, "H1": fam.H1, "H2": fam.H2}
     cells = [Position(x, y) for x in range(1, w) for y in range(1, w)]
-    n1 = (w + 1) ** 2
+    n1 = (w + 1) * (w + 2)  # cfg.index and distance_grid run over free-mask bits
 
     # fingerprints: per config, bc codes and dist-sum fields for the three corners
     bc_codes: dict[tuple, np.ndarray] = {}

@@ -1,13 +1,14 @@
 """The grid distance engines against a plain dict-based BFS.
 
-distance_grid (configurations) and d0_d1 (enlarged rectangles of barrier
-shapes, as free masks) run on grid._bfs; the free-mask engine (free_mask,
-layers, ball, radius, walk_mask), and max_t on it, answer threshold
-questions with big ints.  Each is compared here with an independent
-breadth-first search over explicit cell sets, and d0_d1 also with _bfs
-fields on every shape of at most 5 holes.  The engine's searches finish on
-a _bfs field past a layer cap; the tests shrink the cap to run that path on
-small squares.
+Every distance runs on free masks: grid._bfs walks one cell at a time
+(distance_grid, validate, d0_d1 on enlarged rectangles of barrier shapes),
+and the layer engine (layers, ball, radius, walk_mask, and max_t on it)
+answers threshold questions with big ints.  Each is compared here with an
+independent breadth-first search over explicit cell sets, d0_d1 also with
+conftest.cell_bfs fields on every shape of at most 5 holes, and
+Configuration.index, distance_grid, t_of and max_t with each other.  The
+engine's searches finish on a _bfs field past a layer cap; the tests
+shrink the cap to run that path on small squares.
 """
 
 from collections import deque
@@ -25,18 +26,20 @@ from fssp_holes.grid import (
     Position,
     _bfs,
     ball,
+    bfs_distance,
     bits_set,
     distance_grid,
     free_mask,
     layers,
+    node_bit,
     radius,
     validate,
     walk_mask,
 )
 from fssp_holes.shapes import d0_d1, enumerate_shapes
-from fssp_holes.timebounds import max_t
+from fssp_holes.timebounds import max_t, t_of
 
-from conftest import serpentine_maze
+from conftest import cell_bfs, serpentine_maze
 
 SHAPES = list(enumerate_shapes(5))
 
@@ -95,28 +98,11 @@ def test_d0_d1_matches_bfs_fields_on_every_small_shape():
     for shape in SHAPES:
         wx, hy = shape.width + 2, shape.height + 2
         holes = [(x + 1) * hy + y + 1 for x, y in shape.holes]
-        nw = _bfs(wx, hy, holes, hy - 1)  # from (-1, H)
-        se = _bfs(wx, hy, holes, (wx - 1) * hy)  # from (W, -1)
+        nw = cell_bfs(wx, hy, holes, hy - 1)  # from (-1, H)
+        se = cell_bfs(wx, hy, holes, (wx - 1) * hy)  # from (W, -1)
         got = [d0_d1(shape, p) for p in shape.nodes()]
         assert got == [(nw[(p.x + 1) * hy + p.y + 1], se[(p.x + 1) * hy + p.y + 1])
                        for p in shape.nodes()], shape
-
-
-@given(
-    st.integers(1, 8),
-    st.integers(1, 8),
-    st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
-    st.data(),
-)
-@settings(max_examples=150, deadline=None)
-def test_kernel_unreached_and_blocked_cells_read_minus_one(nx, ny, blocked, data):
-    blocked = {(x, y) for x, y in blocked if x < nx and y < ny}
-    cells = {(x, y) for x in range(nx) for y in range(ny)} - blocked
-    assume(cells)
-    source = data.draw(st.sampled_from(sorted(cells)))
-    expected = oracle_bfs(cells, source)
-    dist = _bfs(nx, ny, [x * ny + y for x, y in blocked], source[0] * ny + source[1])
-    assert dist == [expected.get((x, y), -1) for x in range(nx) for y in range(ny)]
 
 
 def mask_of(cells, stride: int) -> int:
@@ -130,6 +116,30 @@ def multi_source_oracle(nodes: set, sources) -> dict:
         for p, d in oracle_bfs(nodes, source).items():
             dist[p] = min(d, dist.get(p, d))
     return dist
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(1, 4),
+    st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_unreached_and_blocked_cells_read_minus_one(nx, ny, guard, blocked, data):
+    # nx columns of ny cells, stride ny + 1 .. ny + 4 (w + 2 .. w + 5 for a
+    # square of side w = ny - 1); the blocked cells may seal some off.
+    stride = ny + guard
+    cells = {(x, y) for x in range(nx) for y in range(ny)} - blocked
+    assume(cells)
+    sources = data.draw(
+        st.lists(st.sampled_from(sorted(cells)), min_size=1, max_size=3, unique=True)
+    )
+    free = mask_of(cells, stride)
+    expected = multi_source_oracle(cells, sources)
+    dist = _bfs(free, stride, mask_of(sources, stride))
+    assert len(dist) % stride == 0 and free.bit_length() <= len(dist) < free.bit_length() + stride
+    assert dist == [expected.get(divmod(i, stride), -1) for i in range(len(dist))]
 
 
 @st.composite
@@ -258,3 +268,46 @@ def test_maze_searches_stop_at_the_layer_cap():
         )
         assert max_t(cfg) == w + max(multi_source_oracle(nodes, [(0, w), (w, 0)]).values())
     assert drawn and max(drawn) <= grid._layer_cap(s) + 2
+
+
+def check_one_encoding(cfg, sources):
+    """Configuration.index, distance_grid, t_of and max_t agree with the
+    free mask, its layers and the three-field T(v, C) they replaced."""
+    w, s = cfg.size, cfg.size + 2
+    free = free_mask(cfg)
+    assert [cfg.index(p) for p in cfg.nodes()] == [
+        i for i in range(free.bit_length()) if free >> i & 1
+    ]
+    nodes = list(cfg.nodes())
+    for source in sources:
+        expected = [-1] * (w + 1) * s  # holes and guard bits read -1
+        for d, layer in enumerate(layers(free, s, node_bit(cfg, source, s))):
+            for p, in_layer in zip(nodes, bits_set(layer, s, nodes)):
+                if in_layer:
+                    expected[cfg.index(p)] = d
+        assert distance_grid(cfg, source) == tuple(expected)
+    ts = [t_of(cfg, v) for v in nodes]
+    assert ts == [
+        min(
+            bfs_distance(cfg, V_GEN, corner) + bfs_distance(cfg, corner, v)
+            for corner in ((0, w), (w, 0))
+        )
+        for v in nodes
+    ]
+    assert max_t(cfg) == max(ts)
+
+
+@given(configurations(max_w=16), st.data(), CAPS)
+@settings(max_examples=150, deadline=None)
+def test_one_encoding_for_index_fields_and_t(cfg, data, cap):
+    nodes = sorted(cfg.nodes())
+    sources = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True))
+    with layer_cap(cap):
+        check_one_encoding(cfg, sources)
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 3])
+def test_one_encoding_on_a_maze(cap):
+    cfg = serpentine_maze(40)
+    with layer_cap(cap):
+        check_one_encoding(cfg, [V_GEN, Position(40, 40), Position(1, 2)])

@@ -2,13 +2,14 @@
 as oracles.
 
 * The unreduced scan: every raw shape of a (W, H) slab builds its
-  BarrierShape and runs both corner BFS (grid._bfs fields), each node is
-  one pair, and every node of the best e2 is an argmax key.  A reduced scan
+  BarrierShape and runs both corner BFS (fields of conftest.cell_bfs, the
+  reference kernel on explicit cell lists), each node is one pair, and
+  every node of the best e2 is an argmax key.  A reduced scan
   of a W <= H slab must give the oracle's counts and best for (W, H) and
   (H, W), and the _orbit_keys images of its reps must be each slab's argmax
   keys.
 * The list-based reduced scan: the same orbit representatives, with two
-  full _bfs fields per shape and index tables, as _scan_shapes ran before
+  full cell_bfs fields per shape and index tables, as _scan_shapes ran before
   it moved onto bit layers.  Every (W, H, first row) task must give the same
   ScanResult, reps in the same order, so checkpoint records keep their bytes.
 * The row-mask enumerator against brute force: every hole subset of the
@@ -25,7 +26,7 @@ import pytest
 
 from fssp_holes import shapes
 from fssp_holes.cli import main
-from fssp_holes.grid import Position, _bfs
+from fssp_holes.grid import Position
 from fssp_holes.shapes import (
     BarrierShape,
     REFERENCE_CK_TABLE,
@@ -37,6 +38,8 @@ from fssp_holes.shapes import (
     compute_ck,
     enumerate_shapes,
 )
+
+from conftest import cell_bfs
 
 
 def _enlarged_holes(shape: BarrierShape) -> list[int]:
@@ -65,11 +68,11 @@ def scan_every_shape(width: int, height: int, row_tuples):
     for row_masks in row_tuples:
         shape = _shape_from_rows(width, height, row_masks)
         holes = _enlarged_holes(shape)
-        nw = _bfs(width + 2, hy, holes, hy - 1)
+        nw = cell_bfs(width + 2, hy, holes, hy - 1)
         if not _all_nodes_reach_ring(nw, len(holes)):
             continue
         shapes += 1
-        se = _bfs(width + 2, hy, holes, (width + 1) * hy)
+        se = cell_bfs(width + 2, hy, holes, (width + 1) * hy)
         mask = shape.hole_mask()
         for x in range(width):
             col = (x + 1) * hy + 1
@@ -140,7 +143,7 @@ def _slab_tables(width: int, height: int) -> tuple:
 
 
 def list_scan_shapes(width: int, height: int, k: int, first_masks):
-    """The reduced scan of one slab on two _bfs fields per representative."""
+    """The reduced scan of one slab on two cell_bfs fields per representative."""
     nx, ny = width + 2, height + 2
     nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
     corners = width + height + 2
@@ -154,7 +157,7 @@ def list_scan_shapes(width: int, height: int, k: int, first_masks):
         if min(images) < images[0]:
             continue  # not the orbit's representative
         holes = list(chain.from_iterable(map(getitem, row_holes, rows)))
-        nw = _bfs(nx, ny, holes, nw_corner)
+        nw = cell_bfs(nx, ny, holes, nw_corner)
         if not _all_nodes_reach_ring(nw, len(holes)):
             continue
         weight = len(set(images))
@@ -162,7 +165,7 @@ def list_scan_shapes(width: int, height: int, k: int, first_masks):
         if len(holes) == area:
             continue  # no nodes
         pairs += weight * (area - len(holes))
-        sums = list(map(add, nw, _bfs(nx, ny, holes, se_corner)))
+        sums = list(map(add, nw, cell_bfs(nx, ny, holes, se_corner)))
         top = max(sums)
         if top - corners < best:
             continue

@@ -28,7 +28,6 @@ from fssp_holes.grid import (
     regions,
     square_rows,
     validate,
-    via_distance,
 )
 
 from conftest import make_random_config, serpentine_maze
@@ -83,15 +82,6 @@ class TestDistances:
         cfg = validate(5, [(2, 2), (3, 3)])
         with pytest.raises(NotANodeError):
             bfs_distance(cfg, (0, 0), (2, 2))
-
-    def test_via_examples(self):
-        cfg = validate(5, [])
-        # d(a, c) + d(c, b): 5 out to the corner plus 10 back across
-        assert via_distance(cfg, (0, 0), (0, 5), (5, 0)) == 15
-        assert via_distance(cfg, (0, 0), (0, 5), (5, 5)) == 10
-        assert via_distance(cfg, (0, 0), (0, 0), (0, 0)) == 0
-        cfg12 = validate(12, [(6, 4), (7, 5)])
-        assert via_distance(cfg12, (0, 0), (0, 12), (6, 5)) == 25
 
     def test_mh_lower_bounds_bfs(self, rng):
         for _ in range(25):

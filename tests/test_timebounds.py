@@ -225,9 +225,10 @@ TWO_STEPS = [("H2", (3, 10), (7, 9)), ("H1", (10, 3), (8, 10))]
         # the critical pair (7, 9), (8, 10).
         ([(7, 9), (10, 10), (11, 9)], [("H0", (11, 9), (10, 10)), ("H0", (10, 10), (8, 10))]),
         ([(10, 3), (3, 10)], TWO_STEPS[:1]),
+        ([(10, 3), (3, 10)], [("H9", (3, 10), (7, 9)), TWO_STEPS[1]]),
     ],
     ids=["source-not-a-hole", "source-in-half-plane", "target-in-half-plane", "onto-boundary",
-         "onto-other-hole", "merge-into-a-pair", "one-step-short"],
+         "onto-other-hole", "merge-into-a-pair", "one-step-short", "unknown-half-plane"],
 )
 def test_tampered_chain_is_rejected(holes, steps):
     chain = _chain(holes, steps)
