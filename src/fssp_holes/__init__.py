@@ -9,39 +9,45 @@ Library layout mirrors the problem's structure:
 * sim        -- line/square synchronizers and the message-plan simulator
 * mft2       -- the two-hole minimum-firing-time classifier
 * cli        -- command-line front end
+
+``import fssp_holes`` loads no submodule: each public name below, and each
+submodule, is imported on first use (PEP 562), so a process pays only for
+the modules it runs.
 """
 
-from .grid import (
-    Configuration,
-    Pattern,
-    Position,
-    RegionFamily,
-    bfs_distance,
-    boundary_condition,
-    has_pattern,
-    mh_distance,
-    pattern_of,
-    regions,
-    validate,
-)
-from .barriers import Rect, corner_mh_access, is_barrier, maximal_barriers
-from .shapes import BarrierShape, ShapeEval, ck_bounds, compute_ck, d0_d1, e_of, enumerate_shapes, evaluate, h_kw
-from .timebounds import (
-    CertificateChain,
-    critical_holes,
-    equiv_prime,
-    has_critical_pair,
-    lower_bound_certificate,
-    max_t,
-    pattern_move_equiv,
-    t_formula,
-    t_of,
-    verify_certificate,
-)
-from .mft2 import HoleTypeProfile, MftVerdict, build_witness_plan, classify, thm_appendix_check, type_of
-from .sim.line import run_line_fssp
-from .sim.plan import MessagePlan, check_c_conditions, run_message_plan
-from .sim.sh1 import run_sh1
-from .sim.transcript import FiringTranscript
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "grid": "Configuration Pattern Position RegionFamily bfs_distance boundary_condition"
+    " has_pattern mh_distance pattern_of regions validate",
+    "barriers": "Rect corner_mh_access is_barrier maximal_barriers",
+    "shapes": "BarrierShape ShapeEval ck_bounds compute_ck d0_d1 e_of enumerate_shapes evaluate h_kw",
+    "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair"
+    " lower_bound_certificate max_t pattern_move_equiv t_formula t_of verify_certificate",
+    "mft2": "HoleTypeProfile MftVerdict build_witness_plan classify thm_appendix_check type_of",
+    "sim.line": "run_line_fssp",
+    "sim.plan": "MessagePlan check_c_conditions run_message_plan",
+    "sim.sh1": "run_sh1",
+    "sim.transcript": "FiringTranscript",
+}
+#: Public name -> the submodule that defines it.
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {"barriers", "errors", "grid", "mft2", "shapes", "sim", "timebounds"}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,19 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass
 
-from . import barriers as bar
-from . import mft2, shapes, timebounds as tb
+# Each handler imports the modules it runs, so a process loads only those.
 from .errors import BudgetExceededError, FsspError, ParseError, SizeTooLargeError
 from .grid import MAX_SIZE, Position, load_config_file, square_rows
-from .sim.line import run_line_fssp
-from .sim.plan import plan_from_json, run_message_plan
-from .sim.sh1 import run_sh1
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -85,16 +80,22 @@ def _cmd_simulate(args) -> int:
     if args.what == "line":
         if args.n > MAX_SIZE:
             raise SizeTooLargeError(f"line length {args.n} exceeds the maximum {MAX_SIZE}")
+        from .sim.line import run_line_fssp
+
         ft = run_line_fssp(args.n)
         _emit({"n": args.n, "fire_time": ft})
         return EXIT_OK
     cfg = load_config_file(args.config)
     if args.what == "sh1":
+        from .sim.sh1 import run_sh1
+
         transcript = run_sh1(cfg)
         if args.trace:
             _print_sh1_trace(cfg, transcript)
         _emit({"size": cfg.size, "fire_time": transcript.common_fire_time()})
         return EXIT_OK
+    from .sim.plan import plan_from_json, run_message_plan
+
     with open(args.plan, "rb") as fh:
         plan = plan_from_json(fh.read())
     transcript = run_message_plan(cfg, plan)
@@ -139,6 +140,8 @@ def _print_plan_grid(cfg, transcript) -> None:
 
 
 def _cmd_barriers(args) -> int:
+    from . import barriers as bar
+
     cfg = load_config_file(args.config)
     rects = bar.sorted_barriers(bar.maximal_barriers(cfg))
     if args.json:
@@ -151,6 +154,8 @@ def _cmd_barriers(args) -> int:
 
 
 def _cmd_ck(args) -> int:
+    from . import shapes
+
     _check_jobs(args.jobs)
     result = shapes.compute_ck(args.k, jobs=args.jobs, checkpoint=args.checkpoint)
     payload = {
@@ -175,6 +180,8 @@ def _cmd_ck(args) -> int:
 
 
 def _cmd_tvc(args) -> int:
+    from . import timebounds as tb
+
     cfg = load_config_file(args.config)
     if args.json:
         grid = square_rows(cfg, lambda v: tb.t_of(cfg, v), hole=None)
@@ -187,6 +194,8 @@ def _cmd_tvc(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import mft2, timebounds as tb
+
     cfg = load_config_file(args.config)
     verdict = mft2.classify(cfg, with_certificate=args.certificate)
     payload = {"w": cfg.size, "mft": verdict.value, "kind": verdict.kind}
@@ -209,6 +218,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import timebounds as tb
+
     cfg = load_config_file(args.config)
     chain, reason = tb.certificate_search_report(cfg)
     if chain is None:
@@ -224,6 +235,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import timebounds as tb
+
     x, y = _int_list(args.v, "--v", length=2)
     cfg_a = load_config_file(args.config_a)
     cfg_b = load_config_file(args.config_b)
@@ -234,6 +247,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_repro_tables(args) -> int:
     ks = _int_list(args.ks, "--ks")
+    if len(set(ks)) != len(ks):
+        raise ParseError(f"--ks must not repeat a k, got {args.ks!r}")
     _check_jobs(args.jobs)
     report = repro_tables(ks, jobs=args.jobs)
     if args.json:
@@ -250,6 +265,8 @@ def _cmd_repro_tables(args) -> int:
 
 def repro_tables(ks, jobs: int = 1) -> RunReport:
     """Recompute the c_k table rows and compare with the reference values."""
+    from . import shapes
+
     t0 = time.time()
     rows = []
     for k in ks:
@@ -357,6 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if "log_level" in args:
+        import logging
+
         logging.basicConfig(
             level=args.log_level, stream=sys.stderr, format="%(asctime)s %(name)s: %(message)s"
         )

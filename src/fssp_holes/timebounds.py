@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .barriers import Rect, barrier_containing
 from .errors import (
     NotANodeError,
     NotInBarrierError,
@@ -33,7 +33,10 @@ from .grid import (
     validate,
     walk_mask,
 )
-from .shapes import BarrierShape, e_of
+
+if TYPE_CHECKING:
+    from .barriers import Rect
+    from .shapes import BarrierShape
 
 HALF_PLANES = ("H0", "H1", "H2")
 
@@ -80,6 +83,10 @@ def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
     delta = x0 - y0 read off the containing maximal barrier; equals t_of by
     the barrier formula.
     """
+    # barriers and shapes load on the first call: no other function here uses them.
+    from .barriers import barrier_containing
+    from .shapes import e_of
+
     v = Position(*v)
     rect = barrier_containing(cfg, v)
     if rect is None or v in cfg.holes:
@@ -90,6 +97,8 @@ def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
 
 def shape_of_barrier(cfg: Configuration, rect: Rect) -> BarrierShape:
     """The barrier shape obtained by translating rect's holes to the origin."""
+    from .shapes import BarrierShape
+
     holes = frozenset(
         Position(h.x - rect.x0, h.y - rect.y0) for h in cfg.holes if rect.contains(h)
     )

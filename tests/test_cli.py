@@ -74,6 +74,7 @@ class TestBadInput:
             # Above the CPU count; a pool that large would fork every worker at once.
             (["ck", "--k", "2", "--jobs", "100000"], None, "ParseError"),
             (["repro-tables", "--ks", "2,x"], None, "ParseError"),
+            (["repro-tables", "--ks", "2,3,2", "--jobs", "1"], None, "ParseError"),
             # The --v value is checked before either file is opened.
             (["equiv", "a.json", "b.json", "--t", "3", "--v", "a,b"], None, "ParseError"),
             (["equiv", "a.json", "b.json", "--t", "3", "--v", "1,2,3"], None, "ParseError"),
@@ -91,7 +92,7 @@ class TestBadInput:
              "extra-row", "not-utf8", "superscript-size", "deep-json", "repeated-hole",
              "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
              "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "ck-jobs-huge", "repro-ks",
-             "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0",
+             "repro-ks-repeated", "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0",
              "ck-checkpoint-float-count", "ck-checkpoint-negative-count"],
     )
     def test_exit_2_with_code(self, tmp_path, capsys, no_process_pool, argv, text, code):
