@@ -267,6 +267,8 @@ def repro_tables(ks, jobs: int = 1) -> RunReport:
     """Recompute the c_k table rows and compare with the reference values."""
     from . import shapes
 
+    for k in ks:  # every row's k, before any row's scan
+        shapes._check_k(k, 2)
     t0 = time.time()
     rows = []
     for k in ks:

@@ -89,7 +89,7 @@ def test_criterion_1_optional_k7_row():
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("FSSP_HOLES_K8") != "1",
-    reason="about 1.5 min on 2 cores; set FSSP_HOLES_K8=1 to run",
+    reason="about 20 s on 2 cores; set FSSP_HOLES_K8=1 to run",
 )
 def test_criterion_1_optional_k8_row_fresh_and_resumed(tmp_path):
     """The k=8 row at jobs=2 with a checkpoint, then resumed at jobs=2 from
@@ -103,6 +103,25 @@ def test_criterion_1_optional_k8_row_fresh_and_resumed(tmp_path):
     rows = [(r.c_k, r.shape_count, r.pair_count, r.argmax_pair_count) for r in (fresh, resumed)]
     ok = rows == [REFERENCE_CK_TABLE[8]] * 2 and resumed == fresh
     report(1, ok, f"optional k=8 row {REFERENCE_CK_TABLE[8]} reproduced fresh and resumed")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    os.environ.get("FSSP_HOLES_K9") != "1",
+    reason="about 5.5 min on 2 cores; set FSSP_HOLES_K9=1 to run",
+)
+def test_criterion_1_optional_k9_row_fresh_and_resumed(tmp_path):
+    """The k=9 row at jobs=2 with a checkpoint, then resumed at jobs=2 from
+    the first half of its records and a half-written one."""
+    path = tmp_path / "ck9.jsonl"
+    fresh = compute_ck(9, jobs=2, checkpoint=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    half = len(lines) // 2
+    path.write_text("".join(lines[:half]) + lines[half][:20])
+    resumed = compute_ck(9, jobs=2, checkpoint=str(path))
+    rows = [(r.c_k, r.shape_count, r.pair_count, r.argmax_pair_count) for r in (fresh, resumed)]
+    ok = rows == [REFERENCE_CK_TABLE[9]] * 2 and resumed == fresh
+    report(1, ok, f"optional k=9 row {REFERENCE_CK_TABLE[9]} reproduced fresh and resumed")
 
 
 def test_criterion_2_ck_bounds():

@@ -187,10 +187,18 @@ def tasks(k: int):
     ]
 
 
+#: Lane counts for the packed scan: one shape per flood, small batches that
+#: split a task's representatives at many places, and the default.
+LANES = (1, 2, 3, shapes._LANES)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-def test_every_task_matches_the_list_scan(k):
+def test_every_task_matches_the_list_scan(monkeypatch, k):
     for w, h, row0 in tasks(k):
-        assert _scan_shapes(w, h, k, (row0,)) == list_scan_shapes(w, h, k, (row0,)), (w, h, row0)
+        want = list_scan_shapes(w, h, k, (row0,))
+        for lanes in LANES:
+            monkeypatch.setattr(shapes, "_LANES", lanes)
+            assert _scan_shapes(w, h, k, (row0,)) == want, (w, h, row0, lanes)
 
 
 def test_fresh_k6_checkpoint_keeps_its_bytes(tmp_path, capsys):
@@ -229,6 +237,27 @@ THRESHOLD_CASES = {
     # Nodes sealed off from the ring: not a shape at all.
     "sealed-pocket-square": (3, 3, [(2, 5, 2)], (0, 0, -1, [])),
     "sealed-pocket": (3, 4, [(2, 5, 5, 2)], (0, 0, -1, [])),
+    # Batches (LANES) of the packed scan.  At 2 lanes the sealed shape is
+    # first in the first batch and last in the second; at 4 or more, first
+    # and last in the one batch.
+    "sealed-first-and-last": (3, 4, [(2, 5, 5, 2), (1, 2, 1, 4), (1, 1, 2, 4), (2, 5, 5, 2)],
+                              (4, 32, 4, [(2185, 1, 1)])),
+    # Tops 2, 4, 2, 6, 4, 6.  Best rises inside a batch, then a lower top
+    # in the same batch is skipped; at 3 lanes it rises on the first lane of
+    # the second batch, and the last shape ties inside that batch.
+    "best-rises-in-and-between-batches": (
+        3, 4, [(1, 2, 1, 4), (1, 1, 2, 4), (1, 2, 2, 4), (1, 1, 5, 2), (1, 1, 3, 4), (1, 1, 5, 3)],
+        (11, 80, 6, [(1353, 1, 2), (1865, 1, 2)])),
+    # Tops 2, 0, 2: at 1 or 2 lanes the tie is in a later batch, whose
+    # climb starts at the best.
+    "tie-across-batches": (2, 3, [(1, 1, 2), (2, 1, 1), (1, 2, 1)],
+                           (6, 18, 2, [(37, 0, 2), (37, 1, 0), (37, 1, 1), (25, 0, 1), (25, 1, 0)])),
+    # A serpentine corridor (top 36) beside the diagonals (top 6): the
+    # corridor's floods run about five times as many layers.
+    "deep-beside-shallow": (
+        7, 7, [(1, 2, 4, 8, 16, 32, 64), (127, 81, 85, 85, 85, 69, 125),
+               (64, 32, 16, 8, 4, 2, 1), (127, 81, 85, 85, 85, 69, 125)],
+        (10, 228, 36, [(552149632510207, 5, 1)] * 2)),
 }
 
 
@@ -236,7 +265,9 @@ THRESHOLD_CASES = {
 def test_threshold_path(monkeypatch, name):
     width, height, fed, want = THRESHOLD_CASES[name]
     monkeypatch.setattr(shapes, "_iter_hole_masks", lambda *args: iter(fed))
-    assert _scan_shapes(width, height, 12, None) == want
+    for lanes in LANES:
+        monkeypatch.setattr(shapes, "_LANES", lanes)
+        assert _scan_shapes(width, height, 12, None) == want, lanes
     assert list_scan_shapes(width, height, 12, None) == want
 
 

@@ -159,6 +159,21 @@ class TestCk:
     def test_budget_exit_4(self, capsys):
         assert main(["ck", "--k", str(HARD_MAX_K + 1)]) == 4
 
+    @pytest.mark.parametrize(
+        "ks, code, err",
+        [(f"7,{HARD_MAX_K + 1}", 4, f"k={HARD_MAX_K + 1} exceeds the ceiling HARD_MAX_K="),
+         ("3,1", 2, "WrongHoleCount: k must be >= 2, got 1")],
+        ids=["above-cap", "below-2"],
+    )
+    def test_repro_tables_checks_every_k_before_any_row(self, monkeypatch, capsys, ks, code, err):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr("fssp_holes.shapes.compute_ck", no_scan)
+        assert main(["repro-tables", "--ks", ks, "--jobs", "1"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and err in captured.err
+
     def test_checkpoint_for_other_k_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "ck.jsonl")
         code, out = run_cli(capsys, "ck", "--k", "4", "--jobs", "1", "--checkpoint", path)
