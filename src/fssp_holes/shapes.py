@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, chain, islice, repeat
 from math import comb
-from operator import getitem, or_
+from operator import or_
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -71,7 +71,14 @@ class BarrierShape:
     holes: frozenset[Position]
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"a shape is at least 1 x 1, got {self.width} x {self.height}")
         object.__setattr__(self, "holes", frozenset(Position(*h) for h in self.holes))
+        for hole in self.holes:
+            if not (0 <= hole.x < self.width and 0 <= hole.y < self.height):
+                raise ValueError(
+                    f"hole {tuple(hole)} lies outside the {self.width} x {self.height} shape"
+                )
 
     @property
     def k(self) -> int:
@@ -106,54 +113,69 @@ class ShapeEval:
     epsilon_opt: int
 
 
-def _iter_hole_masks(width: int, height: int, k: int, first_masks=None) -> Iterator[tuple[int, ...]]:
-    """Row masks (one int per row) of covering hole sets with <= k holes.
+def _iter_hole_masks(width: int, height: int, k: int,
+                     first_masks=None) -> Iterator[list[int]]:
+    """Covering hole sets of the slab with <= k holes, each as the sum of
+    its rows' packed entries (_slab_table), in generation order: one list
+    per choice of rows 0 .. max(0, height - 3).
 
-    Depth-first over rows; prunes on the holes left and on column coverage
-    (each remaining hole can cover at most one new column).  The last row
-    takes only masks holding every column not yet covered.
+    Depth-first over rows, passing the running sum down; prunes on the
+    holes left and on column coverage (each remaining hole can cover at
+    most one new column).  The sums of the last two rows' completions of
+    each (covered columns, holes left) are listed once per call, and a
+    node adds its running sum to all of them in one list comprehension.
     """
+    packed = _slab_table(width, height)[0]
     full = (1 << width) - 1
-    ones = [bin(m).count("1") for m in range(full + 1)]
+    ones = [m.bit_count() for m in range(full + 1)]
     masks_by_count: list[list[int]] = [[] for _ in range(width + 1)]
     for m in range(1, full + 1):
         masks_by_count[ones[m]].append(m)
+    tails: dict[tuple[int, int, int], list[int]] = {}
 
-    rows: list[int] = []
-
-    def rec(row: int, left: int, covered: int) -> Iterator[tuple[int, ...]]:
-        max_count = min(width, left - (height - row - 1))
-        last = row == height - 1
-        need = full & ~covered if last else 0
+    def step(row: int, left: int, covered: int) -> Iterator[tuple[int, int, int]]:
+        """(entry, holes, columns covered) of each mask row `row` can take."""
+        most = min(width, left - (height - 1 - row))
         choices: Iterable[int]
         if row == 0 and first_masks is not None:
-            choices = [m for m in first_masks if ones[m] <= max_count]
+            choices = [m for m in first_masks if ones[m] <= most]
         else:
-            choices = chain.from_iterable(masks_by_count[max(1, ones[need]) : max_count + 1])
-        if last:
-            for m in choices:
-                if m & need == need:
-                    yield (*rows, m)
-            return
+            choices = chain.from_iterable(masks_by_count[1 : most + 1])
+        entries = packed[row]
         for m in choices:
             c = ones[m]
             new_cov = covered | m
-            if width - ones[new_cov] > left - c:
-                continue
-            rows.append(m)
-            yield from rec(row + 1, left - c, new_cov)
-            rows.pop()
+            if width - ones[new_cov] <= left - c:
+                yield entries[m], c, new_cov
 
-    yield from rec(0, k, 0)
+    def tail(row: int, covered: int, left: int) -> list[int]:
+        """The sums of rows row.. of every completion, listed once."""
+        key = row, covered, left
+        if key not in tails:
+            if row == height:
+                tails[key] = [0] if covered == full else []
+            else:
+                tails[key] = [
+                    entry + t
+                    for entry, c, new_cov in step(row, left, covered)
+                    for t in tail(row + 1, new_cov, left - c)
+                ]
+        return tails[key]
+
+    def rec(row: int, left: int, covered: int, acc: int) -> Iterator[list[int]]:
+        for entry, c, new_cov in step(row, left, covered):
+            if row + 3 < height:  # more than two rows below this one
+                yield from rec(row + 1, left - c, new_cov, acc + entry)
+            else:
+                base = acc + entry
+                yield [base + t for t in tail(row + 1, new_cov, left - c)]
+
+    yield from rec(0, k, 0, 0)
 
 
-def _shape_from_rows(width: int, height: int, row_masks: tuple[int, ...]) -> BarrierShape:
-    holes = frozenset(
-        Position(x, y)
-        for y, m in enumerate(row_masks)
-        for x in range(width)
-        if m >> x & 1
-    )
+def _shape_from_mask(width: int, height: int, mask: int) -> BarrierShape:
+    """The shape with row-major hole mask `mask` (bit y * width + x)."""
+    holes = frozenset(Position(b % width, b // width) for b in _set_bits(mask))
     return BarrierShape(width, height, holes)
 
 
@@ -183,11 +205,12 @@ def enumerate_shapes(k: int) -> Iterator[BarrierShape]:
     for width in range(1, k + 1):
         for height in range(1, k + 1):
             stride, nw_corner, _ = _corner_bits(width, height)
-            _, row_holes, full, _ = _slab_tables(width, height)
-            for row_masks in _iter_hole_masks(width, height, k):
-                free = full ^ sum(map(getitem, row_holes, row_masks))
+            _, slot, images, full, _ = _slab_table(width, height)
+            low, top = (1 << slot) - 1, images * slot
+            for shape in chain.from_iterable(_iter_hole_masks(width, height, k)):
+                free = full ^ shape >> top
                 if reduce(or_, layers(free, stride, nw_corner)) == free:
-                    yield _shape_from_rows(width, height, row_masks)
+                    yield _shape_from_mask(width, height, shape & low)
 
 
 def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
@@ -263,30 +286,38 @@ def _group_maps(width: int, height: int) -> list:
     ]
 
 
-def _row_table(width: int, height: int, bit) -> list[list[int]]:
-    """table[y][m]: the mask with bit bit(x, y) for each hole x of row mask m in row y."""
-    return [
-        [sum(1 << bit(x, y) for x in range(width) if m >> x & 1) for m in range(1 << width)]
-        for y in range(height)
-    ]
-
-
 @lru_cache(maxsize=1)  # a slab's tasks arrive one after another
-def _slab_tables(width: int, height: int) -> tuple:
-    """One slab's tables: per group map into the slab, row and row mask, the
-    image's row-major hole bits; per row and row mask, the hole bits of the
-    enlarged rectangle; every cell of that rectangle; and the slab's cells."""
+def _slab_table(width: int, height: int) -> tuple[list[list[int]], int, int, int, int]:
+    """One slab's packed row table, with (packed, slot, images, full, inner).
+
+    packed[y][m] packs, for the holes of row mask m in row y, slots of
+    `slot` bits each: slot i < images holds the row-major hole bits of the
+    image under the i-th group map that keeps the slab (slot 0 the shape
+    itself), and slot `images` the hole bits of the enlarged rectangle.  A
+    slot is wider than both, and two rows' bits are disjoint in each, so a
+    shape is the sum of its rows' entries and no slot carries into the
+    next.  full is every cell of the enlarged rectangle, inner the slab's.
+    """
     stride = height + 3
-    image_bits = [
-        _row_table(width, height, lambda x, y, f=f: f(x, y)[1] * width + f(x, y)[0])
-        for slab, f in _group_maps(width, height)
-        if slab == (width, height)
-    ]
-    row_holes = _row_table(width, height, lambda x, y: (x + 1) * stride + y + 1)
+    slot = (width + 3) * stride + 1
+    maps = [f for slab, f in _group_maps(width, height) if slab == (width, height)]
+    images = len(maps)
+    packed = []
+    for y in range(height):
+        cells = []  # cells[x]: the entry of the one hole (x, y)
+        for x in range(width):
+            bits = [py * width + px for px, py in (f(x, y) for f in maps)]
+            bits.append((x + 1) * stride + y + 1)
+            cells.append(sum(1 << i * slot + b for i, b in enumerate(bits)))
+        row = [0] * (1 << width)
+        for m in range(1, 1 << width):
+            low = m & -m
+            row[m] = row[m ^ low] | cells[low.bit_length() - 1]
+        packed.append(row)
     column = (1 << height + 2) - 1
     full = sum(column << x * stride for x in range(width + 2))
     inner = sum(column >> 2 << x * stride + 1 for x in range(1, width + 1))
-    return image_bits, row_holes, full, inner
+    return packed, slot, images, full, inner
 
 
 def _at_least(nw: list[int], se: list[int], n: int) -> int:
@@ -307,12 +338,27 @@ _LANES = 64
 def _representatives(width: int, height: int, k: int,
                      first_masks) -> Iterator[tuple[int, int, int]]:
     """(row-major hole mask, distinct images, free mask) of each shape that
-    is the smallest row-major hole mask of its orbit, in generation order."""
-    image_bits, row_holes, full, _ = _slab_tables(width, height)
-    for rows in _iter_hole_masks(width, height, k, first_masks):
-        images = [sum(map(getitem, bits, rows)) for bits in image_bits]
-        if min(images) >= images[0]:
-            yield images[0], len(set(images)), full ^ sum(map(getitem, row_holes, rows))
+    is the smallest row-major hole mask of its orbit, in generation order:
+    slot 0 of its packed sum against the other image slots."""
+    _, slot, images, full, _ = _slab_table(width, height)
+    low, top = (1 << slot) - 1, images * slot
+
+    def pick(sums: list[int]) -> list[tuple[int, int, int]]:
+        if images == 2:
+            return [
+                (a, 1 + (a != b), full ^ v >> top)
+                for v in sums
+                if (a := v & low) <= (b := v >> slot & low)
+            ]
+        return [
+            (a, len({a, b, c, d}), full ^ v >> top)
+            for v in sums
+            if (a := v & low) <= (b := v >> slot & low)
+            and a <= (c := v >> 2 * slot & low)
+            and a <= (d := v >> 3 * slot & low)
+        ]
+
+    return chain.from_iterable(map(pick, _iter_hole_masks(width, height, k, first_masks)))
 
 
 def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
@@ -346,7 +392,7 @@ def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
     """
     stride, nw_corner, se_corner = _corner_bits(width, height)
     corners = width + height + 2
-    inner = _slab_tables(width, height)[3]
+    inner = _slab_table(width, height)[4]
     lane = (width + 3) * stride
     lane_mask = (1 << lane) - 1
     shapes = pairs = 0
@@ -545,11 +591,7 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
     at_best = [(w, h, rep) for w, h, r in results if r[2] == best for rep in r[3]]
     arg_keys = sorted(set().union(*(_orbit_keys(w, h, *rep) for w, h, rep in at_best)))
     argmax = tuple(
-        (
-            _shape_from_rows(w, h, tuple(mask >> y * w & (1 << w) - 1 for y in range(h))),
-            Position(px, py),
-        )
-        for w, h, mask, px, py in arg_keys
+        (_shape_from_mask(w, h, mask), Position(px, py)) for w, h, mask, px, py in arg_keys
     )
     return CkResult(k, best // 2, shape_count, pair_count, argmax)
 
@@ -567,9 +609,13 @@ def h_threshold(k: int) -> int:
 
 
 def h_kw(k: int, w: int) -> int | None:
-    """2w + c_k when w is above the exactness threshold, else None (unknown)."""
+    """2w + c_k when w is above the exactness threshold, else None (unknown).
+
+    c_k is read from REFERENCE_CK_TABLE, whose rows compute_ck reproduces.
+    """
     if k < 2:
         raise ValueError(f"h_kw needs k >= 2, got {k}")
     if w < h_threshold(k):
         return None
-    return 2 * w + compute_ck(k).c_k
+    _check_k(k, 2)
+    return 2 * w + REFERENCE_CK_TABLE[k][0]

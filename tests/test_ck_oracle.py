@@ -12,6 +12,11 @@ as oracles.
   full cell_bfs fields per shape and index tables, as _scan_shapes ran before
   it moved onto bit layers.  Every (W, H, first row) task must give the same
   ScanResult, reps in the same order, so checkpoint records keep their bytes.
+* The row-tuple walker and orbit filter: every covering hole set as a
+  tuple of row masks, and per leaf the image sums over those rows, as
+  _iter_hole_masks and _representatives ran before they moved onto packed
+  running sums.  Every task must give the same (image, weight, free)
+  sequence.
 * The row-mask enumerator against brute force: every hole subset of the
   slab that covers each row and column.
 """
@@ -21,6 +26,7 @@ import json
 from functools import lru_cache
 from itertools import chain, combinations
 from operator import add, getitem
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -31,15 +37,45 @@ from fssp_holes.shapes import (
     BarrierShape,
     REFERENCE_CK_TABLE,
     _group_maps,
-    _iter_hole_masks,
     _orbit_keys,
+    _representatives,
     _scan_shapes,
-    _shape_from_rows,
+    _slab_table,
     compute_ck,
     enumerate_shapes,
 )
 
 from conftest import cell_bfs
+
+
+# --- the walker's packed sums, as row masks --------------------------------
+
+
+def pack(width: int, height: int, row_tuples) -> list[int]:
+    """The packed sum of each shape given as row masks, through the slab's
+    packed row table: what _iter_hole_masks yields for it."""
+    packed = _slab_table(width, height)[0]
+    return [sum(map(getitem, packed, rows)) for rows in row_tuples]
+
+
+def unpack(width: int, height: int, shape: int) -> tuple[int, ...]:
+    """The row masks of a packed sum, read from slot 0 (the shape itself)."""
+    return tuple(shape >> y * width & (1 << width) - 1 for y in range(height))
+
+
+def hole_rows(width: int, height: int, k: int, first_masks=None) -> list[tuple[int, ...]]:
+    """The row masks of every shape shapes._iter_hole_masks walks, in order."""
+    return [
+        unpack(width, height, shape)
+        for shape in chain.from_iterable(shapes._iter_hole_masks(width, height, k, first_masks))
+    ]
+
+
+def shape_from_rows(width: int, height: int, row_masks: tuple[int, ...]) -> BarrierShape:
+    holes = frozenset(
+        Position(x, y) for y, m in enumerate(row_masks) for x in range(width) if m >> x & 1
+    )
+    return BarrierShape(width, height, holes)
 
 
 def _enlarged_holes(shape: BarrierShape) -> list[int]:
@@ -66,7 +102,7 @@ def scan_every_shape(width: int, height: int, row_tuples):
     best = -1
     arg = []
     for row_masks in row_tuples:
-        shape = _shape_from_rows(width, height, row_masks)
+        shape = shape_from_rows(width, height, row_masks)
         holes = _enlarged_holes(shape)
         nw = cell_bfs(width + 2, hy, holes, hy - 1)
         if not _all_nodes_reach_ring(nw, len(holes)):
@@ -90,7 +126,7 @@ def scan_every_shape(width: int, height: int, row_tuples):
 
 
 def oracle_slab(width: int, height: int, k: int):
-    return scan_every_shape(width, height, _iter_hole_masks(width, height, k))
+    return scan_every_shape(width, height, hole_rows(width, height, k))
 
 
 def merge(results):
@@ -152,7 +188,7 @@ def list_scan_shapes(width: int, height: int, k: int, first_masks):
     shapes_n = pairs = 0
     best = -1
     reps: list[tuple[int, int]] = []
-    for rows in shapes._iter_hole_masks(width, height, k, first_masks):
+    for rows in hole_rows(width, height, k, first_masks):
         images = [sum(map(getitem, bits, rows)) for bits in image_bits]
         if min(images) < images[0]:
             continue  # not the orbit's representative
@@ -174,6 +210,86 @@ def list_scan_shapes(width: int, height: int, k: int, first_masks):
             reps = []
         reps += [(images[0], i) for i, s in enumerate(sums) if s == top and i in cells]
     return shapes_n, pairs, best, [(mask, i // ny - 1, i % ny - 1) for mask, i in reps]
+
+
+# --- the row-tuple walker and orbit filter ---------------------------------
+
+
+def oracle_hole_masks(width: int, height: int, k: int,
+                      first_masks=None) -> Iterator[tuple[int, ...]]:
+    """Row masks (one int per row) of covering hole sets with <= k holes.
+
+    Depth-first over rows; prunes on the holes left and on column coverage
+    (each remaining hole can cover at most one new column).  The last row
+    takes only masks holding every column not yet covered.
+    """
+    full = (1 << width) - 1
+    ones = [bin(m).count("1") for m in range(full + 1)]
+    masks_by_count: list[list[int]] = [[] for _ in range(width + 1)]
+    for m in range(1, full + 1):
+        masks_by_count[ones[m]].append(m)
+
+    rows: list[int] = []
+
+    def rec(row: int, left: int, covered: int) -> Iterator[tuple[int, ...]]:
+        max_count = min(width, left - (height - row - 1))
+        last = row == height - 1
+        need = full & ~covered if last else 0
+        choices: Iterable[int]
+        if row == 0 and first_masks is not None:
+            choices = [m for m in first_masks if ones[m] <= max_count]
+        else:
+            choices = chain.from_iterable(masks_by_count[max(1, ones[need]) : max_count + 1])
+        if last:
+            for m in choices:
+                if m & need == need:
+                    yield (*rows, m)
+            return
+        for m in choices:
+            c = ones[m]
+            new_cov = covered | m
+            if width - ones[new_cov] > left - c:
+                continue
+            rows.append(m)
+            yield from rec(row + 1, left - c, new_cov)
+            rows.pop()
+
+    yield from rec(0, k, 0)
+
+
+def _bit_table(width: int, height: int, bit) -> list[list[int]]:
+    """table[y][m]: the mask with bit bit(x, y) for each hole x of row mask m in row y."""
+    return [
+        [sum(1 << bit(x, y) for x in range(width) if m >> x & 1) for m in range(1 << width)]
+        for y in range(height)
+    ]
+
+
+@lru_cache(maxsize=1)
+def _bit_tables(width: int, height: int) -> tuple:
+    """Per group map into the slab, row and row mask, the image's row-major
+    hole bits; per row and row mask, the hole bits of the enlarged
+    rectangle; and every cell of that rectangle."""
+    stride = height + 3
+    image_bits = [
+        _bit_table(width, height, lambda x, y, f=f: f(x, y)[1] * width + f(x, y)[0])
+        for slab, f in _group_maps(width, height)
+        if slab == (width, height)
+    ]
+    row_holes = _bit_table(width, height, lambda x, y: (x + 1) * stride + y + 1)
+    column = (1 << height + 2) - 1
+    full = sum(column << x * stride for x in range(width + 2))
+    return image_bits, row_holes, full
+
+
+def oracle_representatives(width: int, height: int, k: int, first_masks):
+    """(row-major hole mask, distinct images, free mask) of each orbit
+    representative, from image sums over each leaf's row tuple."""
+    image_bits, row_holes, full = _bit_tables(width, height)
+    for rows in oracle_hole_masks(width, height, k, first_masks):
+        images = [sum(map(getitem, bits, rows)) for bits in image_bits]
+        if min(images) >= images[0]:
+            yield images[0], len(set(images)), full ^ sum(map(getitem, row_holes, rows))
 
 
 def tasks(k: int):
@@ -199,6 +315,13 @@ def test_every_task_matches_the_list_scan(monkeypatch, k):
         for lanes in LANES:
             monkeypatch.setattr(shapes, "_LANES", lanes)
             assert _scan_shapes(w, h, k, (row0,)) == want, (w, h, row0, lanes)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_representatives_match_the_row_tuple_walker(k):
+    for w, h, row0 in tasks(k):
+        want = list(oracle_representatives(w, h, k, (row0,)))
+        assert list(_representatives(w, h, k, (row0,))) == want, (w, h, row0)
 
 
 def test_fresh_k6_checkpoint_keeps_its_bytes(tmp_path, capsys):
@@ -264,7 +387,7 @@ THRESHOLD_CASES = {
 @pytest.mark.parametrize("name", list(THRESHOLD_CASES))
 def test_threshold_path(monkeypatch, name):
     width, height, fed, want = THRESHOLD_CASES[name]
-    monkeypatch.setattr(shapes, "_iter_hole_masks", lambda *args: iter(fed))
+    monkeypatch.setattr(shapes, "_iter_hole_masks", lambda *args: iter([pack(width, height, fed)]))
     for lanes in LANES:
         monkeypatch.setattr(shapes, "_LANES", lanes)
         assert _scan_shapes(width, height, 12, None) == want, lanes
@@ -389,7 +512,7 @@ def test_stabilizer_weights_and_images(monkeypatch, name):
     assert sum(map(len, orbit.values())) == n_images
     w, h = sorted((shape.width, shape.height))
     monkeypatch.setattr(
-        "fssp_holes.shapes._iter_hole_masks", lambda *args: iter(orbit[(w, h)])
+        "fssp_holes.shapes._iter_hole_masks", lambda *args: iter([pack(w, h, orbit[(w, h)])])
     )
     got = _scan_shapes(w, h, shape.k, None)
     check_slab(w, h, got, lambda *s: scan_every_shape(*s, orbit[s]))
@@ -409,9 +532,10 @@ def test_hole_masks_match_brute_force(k):
                     xs, ys = {x for x, _ in holes}, {y for _, y in holes}
                     if len(xs) == w and len(ys) == h:
                         want.add(tuple(sum(1 << x for x, y in holes if y == r) for r in range(h)))
-            got = list(_iter_hole_masks(w, h, k))
+            got = hole_rows(w, h, k)
             assert len(got) == len(set(got)) and set(got) == want, (k, w, h)
-            split = [list(_iter_hole_masks(w, h, k, [m])) for m in range(1, 1 << w)]
+            assert got == list(oracle_hole_masks(w, h, k)), (k, w, h)
+            split = [hole_rows(w, h, k, [m]) for m in range(1, 1 << w)]
             assert sorted(sum(split, [])) == sorted(got)
 
 

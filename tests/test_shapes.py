@@ -98,6 +98,23 @@ class TestDistances:
         delta_opt = (-4 + 5 - 7 + 8) // 2
         assert (e_max, delta_opt) == (2, 1)
 
+    @pytest.mark.parametrize("size, holes, outside", [
+        ((2, 2), {(0, 0), (-1, 1)}, (-1, 1)),  # read as mask 3, the mask of {(0, 0), (1, 0)}
+        ((2, 2), {(2, 0)}, (2, 0)),
+        ((2, 2), {(0, 2)}, (0, 2)),
+        ((2, 2), {(1, -1)}, (1, -1)),
+        ((1, 1), {(3, 3)}, (3, 3)),  # evaluate gave this shape, which has no hole, an e_max
+    ])
+    def test_shape_rejects_a_hole_outside_it(self, size, holes, outside):
+        message = f"hole {outside} lies outside the {size[0]} x {size[1]} shape"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BarrierShape(*size, frozenset(holes))
+
+    @pytest.mark.parametrize("size", [(0, 1), (1, 0), (-1, 2), (0, 0)])
+    def test_shape_is_at_least_one_by_one(self, size):
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            BarrierShape(*size, frozenset())
+
 
 class TestProperties:
     def test_parity_and_nonnegativity(self):
@@ -164,6 +181,22 @@ class TestCk:
         assert h_kw(3, 20) == 41
         assert h_kw(2, 5) is None
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_h_kw_reads_the_computed_row(self, k):
+        w = h_threshold(k)
+        assert h_kw(k, w) == 2 * w + compute_ck(k).c_k
+        assert h_kw(k, w - 1) is None
+
+    def test_h_kw_errors(self):
+        for k in (1, 0, -3):
+            with pytest.raises(ValueError):
+                h_kw(k, 100)
+        with pytest.raises(BudgetExceededError):
+            h_kw(HARD_MAX_K + 1, h_threshold(HARD_MAX_K + 1))
+        assert h_kw(HARD_MAX_K, h_threshold(HARD_MAX_K)) == (
+            2 * h_threshold(HARD_MAX_K) + REFERENCE_CK_TABLE[HARD_MAX_K][0]
+        )
+
     def test_parallel_scan_matches_sequential(self):
         seq = compute_ck(4, jobs=1)
         par = compute_ck(4, jobs=2)
@@ -212,7 +245,7 @@ class TestProgressLog:
         records = self._records(caplog)
         tasks = [tuple(map(int, re.search(r"w=(\d+), h=(\d+), row0=(\d+)", r).groups()))
                  for r in records]
-        weights = [1 + sum(1 for _ in shapes._iter_hole_masks(w, h, 5, (row0,)))
+        weights = [1 + sum(map(len, shapes._iter_hole_masks(w, h, 5, (row0,))))
                    for w, h, row0 in tasks]
         for n, record in enumerate(records, 1):
             done = sum(weights[:n])
@@ -225,7 +258,7 @@ class TestProgressLog:
                 for row0 in range(1, 1 << w):
                     if row0.bit_count() <= k - (h - 1):
                         assert shapes._task_shapes(w, h, k, row0.bit_count()) == sum(
-                            1 for _ in shapes._iter_hole_masks(w, h, k, (row0,))
+                            map(len, shapes._iter_hole_masks(w, h, k, (row0,)))
                         ), (w, h, row0)
 
 
