@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import NotANodeError
@@ -84,7 +83,6 @@ def is_barrier(cfg: Configuration, rect: Rect) -> bool:
     )
 
 
-@lru_cache(maxsize=8192)
 def maximal_barriers(cfg: Configuration) -> frozenset[Rect]:
     """All maximal barriers of cfg, via the splitting algorithm.
 
@@ -146,8 +144,8 @@ def maximal_barriers_bruteforce(cfg: Configuration) -> frozenset[Rect]:
 
 
 def sorted_barriers(rects: Iterable[Rect]) -> list[Rect]:
-    """Canonical (x0, y0, x1, y1) ordering for reproducible output."""
-    return sorted(rects, key=lambda r: (r.x0, r.y0, r.x1, r.y1))
+    """Rect's own (x0, y0, x1, y1) order, for reproducible output."""
+    return sorted(rects)
 
 
 def barrier_containing(cfg: Configuration, p: tuple[int, int]) -> Rect | None:

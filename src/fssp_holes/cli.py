@@ -209,7 +209,7 @@ def _cmd_classify(args) -> int:
                 }
                 for s in verdict.chain.steps
             ]
-            payload["chain_verified"] = tb.verify_certificate(verdict.chain)
+            payload["chain_verified"] = tb.verify_certificate(verdict.chain, check_equiv=True)
         if verdict.plan is not None:
             payload["plan_checks_ok"] = verdict.check.ok
             payload["plan_fires"] = verdict.plan.deadline if verdict.check.c5_ok else None
@@ -230,7 +230,8 @@ def _cmd_certify(args) -> int:
             f"{step.half_plane} {step.moved_from.x} {step.moved_from.y} -> "
             f"{step.moved_to.x} {step.moved_to.y}"
         )
-    print(f"final {sorted(tuple(h) for h in chain.final.holes)} verified={tb.verify_certificate(chain)}")
+    verified = tb.verify_certificate(chain, check_equiv=True)
+    print(f"final {sorted(tuple(h) for h in chain.final.holes)} verified={verified}")
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ Divide-to-halves construction realized with local signals:
   left becomes a general as well (the double general of odd splits);
 * a cell fires one step after it and both its line neighbors are generals.
 
-All cells fire simultaneously at start_time + 2n - 2.  A singleton line
-fires at its activation instant (2*1 - 2 = 0 steps later).
+Every run starts its general at time 0, and all cells fire simultaneously
+at 2n - 2; a singleton line fires at once.  The automaton is time-invariant,
+so a line activated at time s fires at s + 2n - 2.
 
 The engine is event-driven but synchronous: every state change at t+1 is
 caused by a signal that was alive at t in the changed cell or a neighbor.
@@ -69,12 +70,11 @@ def _check_caused(cell: int, cause: int) -> None:
 class LineSynchronizer:
     """Event-driven run of the divide-to-halves line automaton."""
 
-    def __init__(self, n: int, start_time: int = 0):
+    def __init__(self, n: int):
         if n < 1:
             raise SizeTooSmallError(f"line length must be >= 1, got {n}")
         self.n = n
-        self.t0 = start_time
-        self.horizon = start_time + 2 * n + 4
+        self.horizon = 2 * n + 4
         self.births: list[int | None] = [None] * n
         self.fasts: list[_Fast] = []
         self.slow_at: dict[int, list[_Slow]] = {}
@@ -111,11 +111,11 @@ class LineSynchronizer:
     def run(self) -> LineRun:
         if self.n == 1:
             # A lone general has nothing to synchronize with: 2n-2 = 0.
-            self.births[0] = self.t0
-            return LineRun([self.t0], [self.t0])
+            self.births[0] = 0
+            return LineRun([0], [0])
 
-        self._make_general(0, self.t0)
-        t = self.t0
+        self._make_general(0, 0)
+        t = 0
         while self.gen_count < self.n:
             if t > self.horizon:
                 raise AssertionError("line synchronizer exceeded its horizon")

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from fssp_holes.errors import WrongHoleCountError
 from fssp_holes.grid import Position, validate
+from fssp_holes.sim.line import LineSynchronizer
 from fssp_holes.sim.sh1 import run_sh1
 
 
@@ -68,3 +72,32 @@ class TestDiagnostics:
     def test_causality_checked_run(self):
         tr = run_sh1(validate(8, [(3, 3)]))
         assert tr.common_fire_time() == 16
+
+
+class TestTranscripts:
+    def test_every_transcript_pinned(self):
+        # fire times, horizon and the five diagnostics of the hole-free square
+        # and of every one-hole square at w = 2..12, each sorted
+        records = []
+        for w in range(2, 13):
+            for holes in [[]] + [[h] for h in interior(w)]:
+                tr = run_sh1(validate(w, holes))
+                layers = {name: sorted(d.items()) for name, d in sorted(tr.diagnostics.items())}
+                records.append([w, holes, sorted(tr.fire_time.items()), tr.horizon, layers])
+        assert len(records[-1][-1]) == 5
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "3058c661ce3b60157de9344f851c2f8049384506174912ef611465158441e88b"
+
+    @pytest.mark.parametrize("w", [2, 3, 8, 17])
+    def test_one_line_run_per_segment_length(self, monkeypatch, w):
+        # a hole-free square has segments of every length 1..w, two of each
+        lengths = []
+        real = LineSynchronizer.run
+
+        def counted(self):
+            lengths.append(self.n)
+            return real(self)
+
+        monkeypatch.setattr(LineSynchronizer, "run", counted)
+        assert run_sh1(validate(w, [])).common_fire_time() == 2 * w
+        assert sorted(lengths) == list(range(1, w + 1))
