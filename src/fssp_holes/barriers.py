@@ -143,11 +143,6 @@ def maximal_barriers_bruteforce(cfg: Configuration) -> frozenset[Rect]:
     return frozenset(maximal)
 
 
-def sorted_barriers(rects: Iterable[Rect]) -> list[Rect]:
-    """Rect's own (x0, y0, x1, y1) order, for reproducible output."""
-    return sorted(rects)
-
-
 def barrier_containing(cfg: Configuration, p: tuple[int, int]) -> Rect | None:
     """The maximal barrier containing position p, or None."""
     for r in maximal_barriers(cfg):

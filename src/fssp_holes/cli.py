@@ -143,7 +143,7 @@ def _cmd_barriers(args) -> int:
     from . import barriers as bar
 
     cfg = load_config_file(args.config)
-    rects = bar.sorted_barriers(bar.maximal_barriers(cfg))
+    rects = sorted(bar.maximal_barriers(cfg))
     if args.json:
         _emit({"maximal_barriers": [[r.x0, r.y0, r.x1, r.y1] for r in rects]})
     else:

@@ -67,9 +67,6 @@ class Configuration:
     size: int
     holes: frozenset[Position]
 
-    def __post_init__(self):
-        object.__setattr__(self, "holes", frozenset(Position(*h) for h in self.holes))
-
     @property
     def k(self) -> int:
         return len(self.holes)

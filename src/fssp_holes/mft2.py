@@ -76,7 +76,7 @@ def is_slow_case(cfg: Configuration) -> bool:
         (w_hole,) = [h for h in cfg.holes if h in fam.W]
         if is_critical(w_hole):
             return True
-    if has_critical_pair(cfg) and all(h in fam.UVW for h in cfg.holes):
+    if has_critical_pair(cfg) and profile.in_uvw == 2:
         return True
     return False
 

@@ -114,10 +114,11 @@ class ShapeEval:
 
 
 def _iter_hole_masks(width: int, height: int, k: int,
-                     first_masks=None) -> Iterator[list[int]]:
+                     row0: int | None = None) -> Iterator[list[int]]:
     """Covering hole sets of the slab with <= k holes, each as the sum of
     its rows' packed entries (_slab_table), in generation order: one list
-    per choice of rows 0 .. max(0, height - 3).
+    per choice of rows 0 .. max(0, height - 3).  With row0, only the sets
+    whose first row is that mask.
 
     Depth-first over rows, passing the running sum down; prunes on the
     holes left and on column coverage (each remaining hole can cover at
@@ -137,8 +138,8 @@ def _iter_hole_masks(width: int, height: int, k: int,
         """(entry, holes, columns covered) of each mask row `row` can take."""
         most = min(width, left - (height - 1 - row))
         choices: Iterable[int]
-        if row == 0 and first_masks is not None:
-            choices = [m for m in first_masks if ones[m] <= most]
+        if row == 0 and row0 is not None:
+            choices = [row0] if ones[row0] <= most else []
         else:
             choices = chain.from_iterable(masks_by_count[1 : most + 1])
         entries = packed[row]
@@ -336,7 +337,7 @@ _LANES = 64
 
 
 def _representatives(width: int, height: int, k: int,
-                     first_masks) -> Iterator[tuple[int, int, int]]:
+                     row0: int | None) -> Iterator[tuple[int, int, int]]:
     """(row-major hole mask, distinct images, free mask) of each shape that
     is the smallest row-major hole mask of its orbit, in generation order:
     slot 0 of its packed sum against the other image slots."""
@@ -358,10 +359,10 @@ def _representatives(width: int, height: int, k: int,
             and a <= (d := v >> 3 * slot & low)
         ]
 
-    return chain.from_iterable(map(pick, _iter_hole_masks(width, height, k, first_masks)))
+    return chain.from_iterable(map(pick, _iter_hole_masks(width, height, k, row0)))
 
 
-def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
+def _scan_shapes(width: int, height: int, k: int, row0: int | None) -> ScanResult:
     """Scan one (width, height) slab, width <= height: (shapes, pairs, best, reps).
 
     e2 = 2 e_max is invariant under rot180, transpose and anti-transpose:
@@ -398,7 +399,7 @@ def _scan_shapes(width: int, height: int, k: int, first_masks) -> ScanResult:
     shapes = pairs = 0
     best = -1
     reps: list[tuple[int, int, int]] = []
-    pending = _representatives(width, height, k, first_masks)
+    pending = _representatives(width, height, k, row0)
     while batch := list(islice(pending, _LANES)):
         offsets = range(0, len(batch) * lane, lane)
         unit = sum(1 << off for off in offsets)
@@ -514,7 +515,7 @@ def _append_checkpoint(path: str, k: int, task: tuple[int, int, int], result: Sc
 
 @lru_cache(maxsize=None)  # a few dozen (w, h, k, used) per k; repeated rows pay once
 def _task_shapes(width: int, height: int, k: int, used: int) -> int:
-    """How many row masks _iter_hole_masks(width, height, k, (row0,)) yields
+    """How many row masks _iter_hole_masks(width, height, k, row0) yields
     for a first row row0 of `used` holes, counted without listing them: the
     rows after the first are nonempty, hold at most k - used holes in all,
     and cover the columns row0 leaves open.  Inclusion-exclusion over the
@@ -569,7 +570,7 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
     total = left = sum(weights)
     start = time.perf_counter()
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        columns = [t[0] for t in todo], [t[1] for t in todo], repeat(k), [(t[2],) for t in todo]
+        columns = [t[0] for t in todo], [t[1] for t in todo], repeat(k), [t[2] for t in todo]
         scanned = (pool.map if pool else map)(_scan_shapes, *columns)
         for n, (task, weight, result) in enumerate(zip(todo, weights, scanned), 1):
             done[task] = result

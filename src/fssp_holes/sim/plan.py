@@ -184,39 +184,29 @@ def pattern_completions(plan: MessagePlan, k: int) -> list[Configuration]:
 def _critical_pair_completion(plan: MessagePlan) -> frozenset[Position] | None:
     """Holes of the first two-hole completion with a critical pair, or None.
 
-    "First" is in the order of pattern_completions(plan, 2).  Two interior
-    holes never disconnect the square, so every completion is valid once
-    the pinned holes are interior; the test reads the pinned holes and the
-    free cells (interior, outside the pattern domain) without a BFS.
+    A critical pair is {c, c + (1, 1)} with c critical.  A completion has
+    one exactly when such a pair holds every pinned hole, all its cells are
+    interior, and its other cells are free: outside the pattern domain.
+    Two interior holes never disconnect the square, so no BFS is needed.
+
+    The candidate corners c are each pinned hole and its southwest diagonal
+    neighbor, or every critical cell when nothing is pinned, in (x, y)
+    order: the order of pattern_completions(plan, 2), so the first pair
+    found is its first failing completion.
     """
     w = plan.target_size
     domain = plan.pattern.domain
-    pinned = sorted(plan.pattern.holes)
-
-    def interior(p: Position) -> bool:
-        return 1 <= p.x < w and 1 <= p.y < w
-
-    def free(p: Position) -> bool:
-        return interior(p) and p not in domain
-
-    if len(pinned) > 2 or not all(map(interior, pinned)):
-        return None
-    if len(pinned) == 2:
-        a, b = pinned
-        return frozenset(pinned) if is_critical(a) and b == a + (1, 1) else None
-    if len(pinned) == 1:
-        (a,) = pinned
-        if not is_critical(a):
-            return None
-        # a - (1, 1) precedes a + (1, 1) among the free cells.
-        g = next((g for g in (a - (1, 1), a + (1, 1)) if free(g)), None)
-        return None if g is None else frozenset((a, g))
-    # No pinned hole: the first pair is the least critical free cell c,
-    # in (x, y) order, whose diagonal neighbor c + (1, 1) is free too.
-    for x in range(1, w):
-        for c in (Position(x, x - 2), Position(x, x + 2)):
-            if free(c) and free(c + (1, 1)):
-                return frozenset((c, c + (1, 1)))
+    pinned = plan.pattern.holes
+    if pinned:
+        corners = sorted({c for h in pinned for c in (h, h - (1, 1))})
+    else:
+        corners = [Position(x, x + d) for x in range(1, w) for d in (-2, 2)]
+    for c in corners:
+        pair = frozenset((c, c + (1, 1)))
+        if is_critical(c) and pinned <= pair and all(
+            1 <= p.x < w and 1 <= p.y < w and (p in pinned or p not in domain) for p in pair
+        ):
+            return pair
     return None
 
 

@@ -213,48 +213,32 @@ class CertificateChain:
 def _move_tables(w: int):
     """Per-w lookup tables of the relocation moves, all over interior cells.
 
-    Returns (planes, outside, partners): planes maps each cell to the names
-    of the H0/H1/H2 sets it lies outside, outside maps each name to its
-    cells outside that set, in (x, y) order, and partners maps each
-    critical cell to its interior diagonal neighbors g (the cells that
-    complete a critical pair with it), each with planes[g].
+    Returns (planes, outside): planes maps each cell to the names of the
+    H0/H1/H2 sets it lies outside, and outside maps each name to its cells
+    outside that set, in (x, y) order.
     """
     fam = regions(w)
     cells = [Position(x, y) for x in range(1, w) for y in range(1, w)]
     planes = {c: tuple(n for n in HALF_PLANES if c not in getattr(fam, n)) for c in cells}
     outside = {n: tuple(c for c in cells if n in planes[c]) for n in HALF_PLANES}
-    partners = {
-        c: tuple((g, planes[g]) for g in (c - (1, 1), c + (1, 1)) if g in planes)
-        for c in cells
-        if is_critical(c)
-    }
-    return planes, outside, partners
+    return planes, outside
 
 
-def _closing_move(state, planes, partners) -> ChainStep | None:
+def _closing_move(state, planes) -> ChainStep | None:
     """A move that turns the two-hole state into a critical pair, or None.
 
-    The kept hole must be critical and the other one moves onto a partner
-    g of it that shares an outside set with the moved hole.  The state
-    itself is never a goal (goals end the search one level earlier), so g
-    is never the moved hole.
+    The kept hole must be critical and the other one moves onto an interior
+    diagonal neighbor g of it that shares an outside set with the moved
+    hole.  The state itself is never a goal (goals end the search one level
+    earlier), so g is never the moved hole.
     """
     for stay, moved in (state, state[::-1]):
-        for g, g_planes in partners.get(stay, ()):
-            for name in g_planes:
-                if name in planes[moved]:
-                    return ChainStep(name, moved, g)
+        if is_critical(stay):
+            for g in (stay - (1, 1), stay + (1, 1)):
+                for name in planes.get(g, ()):
+                    if name in planes[moved]:
+                        return ChainStep(name, moved, g)
     return None
-
-
-def lower_bound_certificate(cfg: Configuration) -> CertificateChain | None:
-    """Shortest relocation chain from cfg to a critical-pair configuration.
-
-    Returns None when no chain exists; certificate_search_report also says
-    whether the chain was empty ("immediate") or searched for ("found").
-    """
-    chain, _ = certificate_search_report(cfg)
-    return chain
 
 
 def certificate_search_report(
@@ -279,14 +263,14 @@ def certificate_search_report(
     if has_critical_pair(cfg):
         return CertificateChain(cfg, ()), "immediate"
     w = cfg.size
-    planes, outside, partners = _move_tables(w)
+    planes, outside = _move_tables(w)
     start = tuple(sorted(cfg.holes))
     parent: dict = {start: None}  # state -> (previous state, *step into it)
     expanded: set = set()  # (kept hole, set name) whose moves are queued
     level = [start]
     while level:
         for state in level:
-            last = _closing_move(state, planes, partners)
+            last = _closing_move(state, planes)
             if last is not None:
                 steps = [last]
                 while parent[state] is not None:

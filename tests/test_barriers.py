@@ -8,7 +8,6 @@ from fssp_holes.barriers import (
     is_barrier,
     maximal_barriers,
     maximal_barriers_bruteforce,
-    sorted_barriers,
 )
 from fssp_holes.grid import Position, mh_distance, bfs_distance, validate
 
@@ -74,7 +73,7 @@ class TestStructuralInvariants:
     def test_invariants_random(self, rng):
         for _ in range(40):
             cfg = make_random_config(rng, rng.randint(5, 14), rng.randint(1, 7))
-            rects = sorted_barriers(maximal_barriers(cfg))
+            rects = sorted(maximal_barriers(cfg))
             for r1, r2 in itertools.combinations(rects, 2):
                 assert not _touching(r1, r2)
             for h in cfg.holes:

@@ -29,7 +29,7 @@ from conftest import all_two_hole_configs
 
 pytestmark = pytest.mark.slow
 
-WS = (11, 12, 13)
+WS = tuple(range(5, 14))
 
 
 def forest_distances(w: int) -> dict:

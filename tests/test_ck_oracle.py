@@ -63,11 +63,11 @@ def unpack(width: int, height: int, shape: int) -> tuple[int, ...]:
     return tuple(shape >> y * width & (1 << width) - 1 for y in range(height))
 
 
-def hole_rows(width: int, height: int, k: int, first_masks=None) -> list[tuple[int, ...]]:
+def hole_rows(width: int, height: int, k: int, row0=None) -> list[tuple[int, ...]]:
     """The row masks of every shape shapes._iter_hole_masks walks, in order."""
     return [
         unpack(width, height, shape)
-        for shape in chain.from_iterable(shapes._iter_hole_masks(width, height, k, first_masks))
+        for shape in chain.from_iterable(shapes._iter_hole_masks(width, height, k, row0))
     ]
 
 
@@ -178,7 +178,7 @@ def _slab_tables(width: int, height: int) -> tuple:
     return image_bits, row_holes, cells
 
 
-def list_scan_shapes(width: int, height: int, k: int, first_masks):
+def list_scan_shapes(width: int, height: int, k: int, row0):
     """The reduced scan of one slab on two cell_bfs fields per representative."""
     nx, ny = width + 2, height + 2
     nw_corner, se_corner = ny - 1, (nx - 1) * ny  # (-1, H) and (W, -1)
@@ -188,7 +188,7 @@ def list_scan_shapes(width: int, height: int, k: int, first_masks):
     shapes_n = pairs = 0
     best = -1
     reps: list[tuple[int, int]] = []
-    for rows in hole_rows(width, height, k, first_masks):
+    for rows in hole_rows(width, height, k, row0):
         images = [sum(map(getitem, bits, rows)) for bits in image_bits]
         if min(images) < images[0]:
             continue  # not the orbit's representative
@@ -311,17 +311,17 @@ LANES = (1, 2, 3, shapes._LANES)
 @pytest.mark.parametrize("k", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_every_task_matches_the_list_scan(monkeypatch, k):
     for w, h, row0 in tasks(k):
-        want = list_scan_shapes(w, h, k, (row0,))
+        want = list_scan_shapes(w, h, k, row0)
         for lanes in LANES:
             monkeypatch.setattr(shapes, "_LANES", lanes)
-            assert _scan_shapes(w, h, k, (row0,)) == want, (w, h, row0, lanes)
+            assert _scan_shapes(w, h, k, row0) == want, (w, h, row0, lanes)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_representatives_match_the_row_tuple_walker(k):
     for w, h, row0 in tasks(k):
         want = list(oracle_representatives(w, h, k, (row0,)))
-        assert list(_representatives(w, h, k, (row0,))) == want, (w, h, row0)
+        assert list(_representatives(w, h, k, row0)) == want, (w, h, row0)
 
 
 def test_fresh_k6_checkpoint_keeps_its_bytes(tmp_path, capsys):
@@ -535,7 +535,7 @@ def test_hole_masks_match_brute_force(k):
             got = hole_rows(w, h, k)
             assert len(got) == len(set(got)) and set(got) == want, (k, w, h)
             assert got == list(oracle_hole_masks(w, h, k)), (k, w, h)
-            split = [hole_rows(w, h, k, [m]) for m in range(1, 1 << w)]
+            split = [hole_rows(w, h, k, m) for m in range(1, 1 << w)]
             assert sorted(sum(split, [])) == sorted(got)
 
 

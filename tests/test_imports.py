@@ -140,9 +140,8 @@ PUBLIC = {
     "barriers": "Rect corner_mh_access is_barrier maximal_barriers",
     "shapes": "BarrierShape ShapeEval ck_bounds compute_ck d0_d1 e_of enumerate_shapes "
               "evaluate h_kw",
-    "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair "
-                  "lower_bound_certificate max_t pattern_move_equiv t_formula t_of "
-                  "verify_certificate",
+    "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair max_t "
+                  "pattern_move_equiv t_formula t_of verify_certificate",
     "mft2": "HoleTypeProfile MftVerdict build_witness_plan classify thm_appendix_check type_of",
     "sim.line": "run_line_fssp",
     "sim.plan": "MessagePlan check_c_conditions run_message_plan",

@@ -245,7 +245,7 @@ class TestProgressLog:
         records = self._records(caplog)
         tasks = [tuple(map(int, re.search(r"w=(\d+), h=(\d+), row0=(\d+)", r).groups()))
                  for r in records]
-        weights = [1 + sum(map(len, shapes._iter_hole_masks(w, h, 5, (row0,))))
+        weights = [1 + sum(map(len, shapes._iter_hole_masks(w, h, 5, row0)))
                    for w, h, row0 in tasks]
         for n, record in enumerate(records, 1):
             done = sum(weights[:n])
@@ -258,7 +258,7 @@ class TestProgressLog:
                 for row0 in range(1, 1 << w):
                     if row0.bit_count() <= k - (h - 1):
                         assert shapes._task_shapes(w, h, k, row0.bit_count()) == sum(
-                            map(len, shapes._iter_hole_masks(w, h, k, (row0,)))
+                            map(len, shapes._iter_hole_masks(w, h, k, row0))
                         ), (w, h, row0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -16,7 +17,6 @@ from fssp_holes.timebounds import (
     critical_pair_theorem_check,
     equiv_prime,
     has_critical_pair,
-    lower_bound_certificate,
     max_t,
     pattern_move_equiv,
     t_formula,
@@ -171,7 +171,7 @@ class TestPatternMoveEquiv:
 class TestCertificates:
     def test_immediate_chain(self):
         cfg = validate(12, [(6, 4), (7, 5)])
-        chain = lower_bound_certificate(cfg)
+        chain = certificate_search_report(cfg)[0]
         assert chain is not None and len(chain) == 0
         assert verify_certificate(chain, check_equiv=True)
 
@@ -190,11 +190,26 @@ class TestCertificates:
         w = 11
         found = 0
         for cfg in list(all_two_hole_configs(w))[::37]:
-            chain = lower_bound_certificate(cfg)
+            chain = certificate_search_report(cfg)[0]
             if chain is not None:
                 assert verify_certificate(chain)
                 found += 1
         assert found > 0
+
+    def test_every_chain_pinned(self):
+        # One sha256 over how the search ended and the steps it found, for
+        # every two-hole configuration at w=11: a change to which of the
+        # shortest chains the search returns fails here.
+        digest = hashlib.sha256()
+        for cfg in all_two_hole_configs(11):
+            chain, reason = certificate_search_report(cfg)
+            steps = [] if chain is None else [
+                (s.half_plane, *s.moved_from, *s.moved_to) for s in chain.steps
+            ]
+            digest.update(f"{reason} {steps}\n".encode())
+        assert digest.hexdigest() == (
+            "9c4ced4e384e8b3433012c87370fd261e5a0b11ce7898bbc1b31591b66565ea9"
+        )
 
     def test_chain_holds_its_start_and_steps(self):
         chain, _ = certificate_search_report(validate(12, [(10, 3), (3, 10)]))
