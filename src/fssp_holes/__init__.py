@@ -3,7 +3,7 @@
 Library layout mirrors the problem's structure:
 
 * grid       -- positions, configurations, distances, patterns, regions
-* barriers   -- maximal barrier computation and its enumeration oracle
+* barriers   -- maximal barriers and corner access
 * shapes     -- barrier-shape space and the worst-case excess constants c_k
 * timebounds -- through-corner lower bounds and relocation certificates
 * sim        -- line/square synchronizers and the message-plan simulator
@@ -26,7 +26,7 @@ _EXPORTS = {
     "shapes": "BarrierShape ShapeEval ck_bounds compute_ck d0_d1 e_of enumerate_shapes evaluate h_kw",
     "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair max_t"
     " pattern_move_equiv t_formula t_of verify_certificate",
-    "mft2": "HoleTypeProfile MftVerdict build_witness_plan classify thm_appendix_check type_of",
+    "mft2": "MftVerdict build_witness_plan classify thm_appendix_check type_of",
     "sim.line": "run_line_fssp",
     "sim.plan": "MessagePlan check_c_conditions run_message_plan",
     "sim.sh1": "run_sh1",

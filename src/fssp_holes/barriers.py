@@ -2,8 +2,8 @@
 
 The maximal barriers of a configuration are computed by the splitting
 algorithm (start from the full interior rectangle and repeatedly delete or
-split on hole-free lines).  A deliberately naive enumeration oracle backs it
-in tests.
+split on hole-free lines).  The tests check it against a naive enumeration
+oracle of their own.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ class Rect:
 
     def contains(self, p: tuple[int, int]) -> bool:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
-
-    def contains_rect(self, other: "Rect") -> bool:
-        return (
-            self.x0 <= other.x0
-            and self.x1 >= other.x1
-            and self.y0 <= other.y0
-            and self.y1 >= other.y1
-        )
 
     def cells(self) -> Iterable[Position]:
         for x in range(self.x0, self.x1 + 1):
@@ -109,38 +101,6 @@ def maximal_barriers(cfg: Configuration) -> frozenset[Rect]:
         else:
             done.append(r)
     return frozenset(done)
-
-
-def maximal_barriers_bruteforce(cfg: Configuration) -> frozenset[Rect]:
-    """Enumeration oracle: all barrier rectangles, filtered to maximal ones.
-
-    A barrier has at most k columns and k rows, and its boundary columns and
-    rows each contain a hole, so candidate bounds range over hole coordinates.
-    Intended for small instances (w <= 25, k <= 12).
-    """
-    if not cfg.holes:
-        return frozenset()
-    k = cfg.k
-    hole_xs = sorted({h.x for h in cfg.holes})
-    hole_ys = sorted({h.y for h in cfg.holes})
-    barriers = []
-    for i, x0 in enumerate(hole_xs):
-        for x1 in hole_xs[i:]:
-            if x1 - x0 >= k:
-                break
-            for j, y0 in enumerate(hole_ys):
-                for y1 in hole_ys[j:]:
-                    if y1 - y0 >= k:
-                        break
-                    r = Rect(x0, y0, x1, y1)
-                    if is_barrier(cfg, r):
-                        barriers.append(r)
-    maximal = [
-        r
-        for r in barriers
-        if not any(o != r and o.contains_rect(r) for o in barriers)
-    ]
-    return frozenset(maximal)
 
 
 def barrier_containing(cfg: Configuration, p: tuple[int, int]) -> Rect | None:

@@ -138,7 +138,10 @@ def mh_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-@lru_cache(maxsize=4096)
+# A field at w = MAX_SIZE holds about 39 MB.  One answer reads few fields
+# again: t_of two per configuration, a walk check from the general and the
+# three other corners four.  Eight cover that.
+@lru_cache(maxsize=8)
 def distance_grid(cfg: Configuration, source: Position) -> tuple[int, ...]:
     """Cached BFS distance field from one source node of cfg, indexed by
     cfg.index; -1 at holes and guard bits."""
@@ -427,7 +430,7 @@ class RegionFamily:
         return self.U | self.V | self.W
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2)  # one family at w = MAX_SIZE holds about 176 MB
 def regions(w: int) -> RegionFamily:
     """Region family of S_w.
 

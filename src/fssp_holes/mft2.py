@@ -37,24 +37,12 @@ from .timebounds import (
 )
 
 
-@dataclass(frozen=True)
-class HoleTypeProfile:
-    """Region counts of the two holes."""
-
-    counts: tuple[int, int, int, int]  # (#U, #V, #W, #X)
-
-    @property
-    def in_uvw(self) -> int:
-        return self.counts[0] + self.counts[1] + self.counts[2]
-
-
-def type_of(cfg: Configuration) -> HoleTypeProfile:
+def type_of(cfg: Configuration) -> tuple[int, int, int, int]:
+    """How many of the two holes lie in U, V, W and X."""
     if cfg.k != 2:
         raise WrongHoleCountError(f"type is defined for exactly 2 holes, got {cfg.k}")
     fam = regions(cfg.size)
-    sets = (fam.U, fam.V, fam.W, fam.X)
-    counts = tuple(sum(1 for h in cfg.holes if h in s) for s in sets)
-    return HoleTypeProfile(counts)  # type: ignore[arg-type]
+    return tuple(sum(1 for h in cfg.holes if h in s) for s in (fam.U, fam.V, fam.W, fam.X))
 
 
 @dataclass(frozen=True)
@@ -69,14 +57,15 @@ class MftVerdict:
 def is_slow_case(cfg: Configuration) -> bool:
     """True iff one of the three 2w+1 conditions holds."""
     fam = regions(cfg.size)
-    profile = type_of(cfg)
-    if profile.in_uvw == 0:
+    nU, nV, nW, _ = type_of(cfg)
+    in_uvw = nU + nV + nW
+    if in_uvw == 0:
         return True
-    if profile.counts[0] == profile.counts[1] == 0 and profile.counts[2] == 1:
+    if nU == nV == 0 and nW == 1:
         (w_hole,) = [h for h in cfg.holes if h in fam.W]
         if is_critical(w_hole):
             return True
-    if has_critical_pair(cfg) and profile.in_uvw == 2:
+    if has_critical_pair(cfg) and in_uvw == 2:
         return True
     return False
 
@@ -129,8 +118,7 @@ def build_witness_plan(cfg: Configuration) -> MessagePlan:
         raise NotUpperBoundCaseError("configuration is a 2w+1 case; no witness plan exists")
     fam = regions(cfg.size)
     v_cnt = fam.v_cnt
-    profile = type_of(cfg)
-    nU, nV, nW, nX = profile.counts
+    nU, nV, nW, nX = type_of(cfg)
 
     if nU >= 1 and nV == 0:
         # Holes meet U, none in V: check U u V, one message at the V corner.
@@ -145,7 +133,7 @@ def build_witness_plan(cfg: Configuration) -> MessagePlan:
     if nU == 1 and nV == 1:
         return _u_v_pair_plan(cfg, fam)
 
-    raise AssertionError(f"unhandled fast-case type {profile.counts}")
+    raise AssertionError(f"unhandled fast-case type {(nU, nV, nW, nX)}")
 
 
 def _w_band_plan(cfg: Configuration, fam) -> MessagePlan:
@@ -223,7 +211,6 @@ def _u_v_pair_plan(cfg: Configuration, fam) -> MessagePlan:
 # Distance-bound predicate with the four exception geometries
 
 HOLDS = "Holds"
-EXCEPTIONS = ("Exception1", "Exception2", "Exception3", "Exception4")
 
 
 def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, int]) -> str:

@@ -443,14 +443,25 @@ def _orbit_keys(width: int, height: int, mask: int, x: int, y: int) -> set:
     }
 
 
-def _check_record_ranges(k: int, w: int, h: int, row0: int, shapes: int, pairs: int,
+def _tasks(k: int) -> list[tuple[int, int, int]]:
+    """compute_ck's tasks (w, h, row0) in scan order: every W <= H slab and
+    every nonzero first row that leaves a hole for each of the h - 1 rows
+    above it."""
+    return [
+        (w, h, row0)
+        for w in range(1, k + 1)
+        for h in range(w, k + 1)
+        for row0 in range(1, 1 << w)
+        if row0.bit_count() <= k - (h - 1)
+    ]
+
+
+def _check_record_ranges(w: int, h: int, row0: int, shapes: int, pairs: int,
                          best: int, reps: list) -> None:
-    """Raise ValueError unless a record holds values a scan of its task can
-    return: a W <= H slab of this k and a nonzero first row, counts >= 0,
-    best -1 (exactly when there are no reps) or even, and each rep a hole
-    mask of the slab with that first row and a node (x, y) of it."""
-    if not (1 <= w <= h <= k and 0 < row0 < 1 << w):
-        raise ValueError(f"no task ({w}, {h}, {row0}) for k={k}")
+    """Raise ValueError unless a record of task (w, h, row0) holds values a
+    scan of it can return: counts >= 0, best -1 (exactly when there are no
+    reps) or even, and each rep a hole mask of the slab with that first row
+    and a node (x, y) of it."""
     if shapes < 0 or pairs < 0:
         raise ValueError("a count is negative")
     if not (best == -1 or best >= 0 and best % 2 == 0) or (best == -1) != (not reps):
@@ -469,7 +480,7 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
     and the file is cut back to the last newline, so its task is rescanned.
     A record for another k or format version fails closed, and so does a
     record of this k and version with a missing, non-integer or
-    out-of-range field.
+    out-of-range field, or for a task compute_ck does not run.
     """
     try:
         with open(path, "rb") as fh:
@@ -477,6 +488,7 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
     except FileNotFoundError:
         return {}
     end = data.rfind(b"\n") + 1
+    tasks = set(_tasks(k))
     done = {}
     for n, line in enumerate(data[:end].decode("utf-8", "replace").splitlines(), 1):
         if not line.strip():
@@ -490,7 +502,9 @@ def _load_checkpoint(path: str, k: int) -> dict[tuple[int, int, int], ScanResult
                 reps = [tuple(rep) for rep in doc["arg"]]
                 if any(len(rep) != 3 for rep in reps) or not _only_ints(chain(task, counts, *reps)):
                     raise ValueError("a field is not an integer or a rep is not [mask, x, y]")
-                _check_record_ranges(k, *task, *counts, reps)
+                if task not in tasks:
+                    raise ValueError(f"no task {task} for k={k}")
+                _check_record_ranges(*task, *counts, reps)
                 done[task] = (*counts, reps)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"{path}:{n}: malformed checkpoint record: {exc}") from exc
@@ -551,13 +565,7 @@ def compute_ck(k: int, jobs: int = 1, checkpoint: str | None = None) -> CkResult
     """
     _check_k(k, 2)  # smaller k admit no node pairs
     done = _load_checkpoint(checkpoint, k) if checkpoint else {}
-    tasks = [
-        (w, h, row0)
-        for w in range(1, k + 1)
-        for h in range(w, k + 1)
-        for row0 in range(1, 1 << w)
-        if bin(row0).count("1") <= k - (h - 1)
-    ]
+    tasks = _tasks(k)
     todo = [task for task in tasks if task not in done]
     workers = min(jobs, len(todo))
     if workers > 1:

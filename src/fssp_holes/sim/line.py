@@ -15,8 +15,10 @@ Divide-to-halves construction realized with local signals:
 * a cell fires one step after it and both its line neighbors are generals.
 
 Every run starts its general at time 0, and all cells fire simultaneously
-at 2n - 2; a singleton line fires at once.  The automaton is time-invariant,
-so a line activated at time s fires at s + 2n - 2.
+at 2n - 2; a singleton line fires at once.  The machine is time-invariant,
+so a line activated at time s fires at s + 2n - 2.  It is a signal machine,
+not a finite automaton: a general emits slow signals of every level up to
+log2 of the horizon, so no fixed state set covers every n.
 
 The engine is event-driven but synchronous: every state change at t+1 is
 caused by a signal that was alive at t in the changed cell or a neighbor.
@@ -68,7 +70,7 @@ def _check_caused(cell: int, cause: int) -> None:
 
 
 class LineSynchronizer:
-    """Event-driven run of the divide-to-halves line automaton."""
+    """Event-driven run of the divide-to-halves line signal machine."""
 
     def __init__(self, n: int):
         if n < 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations
 
 from ..errors import (
     OutOfSquareError,
@@ -164,20 +164,11 @@ def pattern_completions(plan: MessagePlan, k: int) -> list[Configuration]:
         if Position(x, y) not in domain
     ]
     outs = []
-
-    def rec(start: int, chosen: list[Position]):
-        if len(chosen) == free:
-            try:
-                outs.append(validate(w, pinned | set(chosen)))
-            except ValidationError:
-                pass
-            return
-        for i in range(start, len(candidates)):
-            chosen.append(candidates[i])
-            rec(i + 1, chosen)
-            chosen.pop()
-
-    rec(0, [])
+    for chosen in combinations(candidates, free):
+        try:
+            outs.append(validate(w, pinned.union(chosen)))
+        except ValidationError:
+            pass
     return outs
 
 

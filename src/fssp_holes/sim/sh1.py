@@ -9,7 +9,7 @@ north, and mirrored across the main diagonal:
 * line layer: each diagonal arrival starts a minimal-time line synchronizer
   on the row segment east of it and the column segment north of it (general
   at the diagonal-adjacent cell, activated one step after the wave); the
-  line automaton is time-invariant, so each segment length is run once from
+  line signal machine is time-invariant, so each segment length is run once from
   time 0 and its fire times are shifted by the activation time;
 * sweep layer: a border signal loops east-north-west (and north-east-south),
   stamping each sub-diagonal cell (i, j), i > j, at time 2w - (i - j) and

@@ -121,20 +121,6 @@ def has_critical_pair(cfg: Configuration) -> bool:
     return any(h + (1, 1) in crit for h in crit)
 
 
-def critical_pair_theorem_check(cfg: Configuration) -> bool:
-    """max_t == 2w+1, asserting the equivalence with has_critical_pair (k=2)."""
-    if cfg.k != 2:
-        raise WrongHoleCountError(f"theorem needs exactly 2 holes, got {cfg.k}")
-    w = cfg.size
-    m = max_t(cfg)
-    if m not in (2 * w, 2 * w + 1):
-        raise AssertionError(f"max_t={m} outside {{2w, 2w+1}} for {cfg}")
-    result = m == 2 * w + 1
-    if result != has_critical_pair(cfg):
-        raise AssertionError(f"critical-pair equivalence violated for {cfg}")
-    return result
-
-
 def equiv_prime(
     cfg_a: Configuration, cfg_b: Configuration, t: int, v: tuple[int, int]
 ) -> bool:
@@ -209,7 +195,7 @@ class CertificateChain:
         return cfg
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)  # the tables at w = MAX_SIZE hold about 182 MB
 def _move_tables(w: int):
     """Per-w lookup tables of the relocation moves, all over interior cells.
 

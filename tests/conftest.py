@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+from fssp_holes.barriers import Rect, is_barrier
 from fssp_holes.grid import Configuration, validate
 
 
@@ -57,6 +58,41 @@ def cell_bfs(nx: int, ny: int, blocked: list[int], *starts: int) -> list[int]:
     for i in blocked:
         dist[i] = -1
     return dist
+
+
+def maximal_barriers_bruteforce(cfg: Configuration) -> frozenset[Rect]:
+    """Enumeration oracle: all barrier rectangles, filtered to maximal ones.
+
+    A barrier has at most k columns and k rows, and its boundary columns and
+    rows each contain a hole, so candidate bounds range over hole coordinates.
+    Intended for small instances (w <= 25, k <= 12).
+    """
+    if not cfg.holes:
+        return frozenset()
+    k = cfg.k
+    hole_xs = sorted({h.x for h in cfg.holes})
+    hole_ys = sorted({h.y for h in cfg.holes})
+    barriers = []
+    for i, x0 in enumerate(hole_xs):
+        for x1 in hole_xs[i:]:
+            if x1 - x0 >= k:
+                break
+            for j, y0 in enumerate(hole_ys):
+                for y1 in hole_ys[j:]:
+                    if y1 - y0 >= k:
+                        break
+                    r = Rect(x0, y0, x1, y1)
+                    if is_barrier(cfg, r):
+                        barriers.append(r)
+    maximal = [
+        r
+        for r in barriers
+        if not any(
+            o != r and o.x0 <= r.x0 and o.x1 >= r.x1 and o.y0 <= r.y0 and o.y1 >= r.y1
+            for o in barriers
+        )
+    ]
+    return frozenset(maximal)
 
 
 def serpentine_maze(w: int) -> Configuration:

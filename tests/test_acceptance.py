@@ -12,11 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from fssp_holes.barriers import (
-    Rect,
-    maximal_barriers,
-    maximal_barriers_bruteforce,
-)
+from fssp_holes.barriers import Rect, maximal_barriers
 from fssp_holes.errors import BoundViolatedError
 from fssp_holes.grid import (
     Position,
@@ -35,7 +31,6 @@ from fssp_holes.sim.line import run_line_fssp
 from fssp_holes.sim.plan import run_message_plan, worked_instance_plan
 from fssp_holes.sim.sh1 import run_sh1
 from fssp_holes.timebounds import (
-    critical_pair_theorem_check,
     equiv_prime,
     has_critical_pair,
     max_t,
@@ -44,7 +39,7 @@ from fssp_holes.timebounds import (
     verify_certificate,
 )
 
-from conftest import make_random_config
+from conftest import make_random_config, maximal_barriers_bruteforce
 
 pytestmark = pytest.mark.acceptance
 
@@ -174,12 +169,7 @@ def _two_hole_configs(w):
 def test_criterion_6_critical_pair_theorem():
     w, bad = 11, []
     for cfg in _two_hole_configs(w):
-        try:
-            slow = critical_pair_theorem_check(cfg)  # asserts both directions
-        except AssertionError:
-            bad.append(sorted(map(tuple, cfg.holes)))
-            continue
-        if slow != has_critical_pair(cfg):
+        if max_t(cfg) != 2 * w + has_critical_pair(cfg):
             bad.append(sorted(map(tuple, cfg.holes)))
     report(6, not bad, f"max_t = 2w+1 iff critical pair, exhaustive w=11 ({bad[:3]})")
 

@@ -7,11 +7,10 @@ from fssp_holes.barriers import (
     corner_mh_access,
     is_barrier,
     maximal_barriers,
-    maximal_barriers_bruteforce,
 )
 from fssp_holes.grid import Position, mh_distance, bfs_distance, validate
 
-from conftest import make_random_config
+from conftest import make_random_config, maximal_barriers_bruteforce
 
 
 class TestIsBarrier:

@@ -87,13 +87,18 @@ class TestBadInput:
             (["ck", "--k", "3", "--jobs", "1", "--checkpoint"],
              '{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": -5, "pairs": 0, '
              '"best": -1, "arg": []}\n', "ParseError"),
+            # Two first-row holes leave the three rows above one hole: no task of k=4.
+            (["ck", "--k", "4", "--jobs", "1", "--checkpoint"],
+             '{"v": 4, "k": 4, "w": 2, "h": 4, "row0": 3, "shapes": 0, "pairs": 0, '
+             '"best": -1, "arg": []}\n', "ParseError"),
         ],
         ids=["truncated-json", "string-size", "ascii-char", "validate-ascii-char", "size-0",
              "extra-row", "not-utf8", "superscript-size", "deep-json", "repeated-hole",
              "ascii-blank-line", "line-n-0", "line-n-negative", "line-n-huge",
              "ck-jobs-0", "ck-jobs-negative", "repro-jobs-0", "ck-jobs-huge", "repro-ks",
              "repro-ks-repeated", "equiv-v-text", "equiv-v-three", "sh1-size-1", "ck-k-1", "ck-k-0",
-             "ck-checkpoint-float-count", "ck-checkpoint-negative-count"],
+             "ck-checkpoint-float-count", "ck-checkpoint-negative-count",
+             "ck-checkpoint-non-task"],
     )
     def test_exit_2_with_code(self, tmp_path, capsys, no_process_pool, argv, text, code):
         if text is not None:

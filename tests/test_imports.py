@@ -142,7 +142,7 @@ PUBLIC = {
               "evaluate h_kw",
     "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair max_t "
                   "pattern_move_equiv t_formula t_of verify_certificate",
-    "mft2": "HoleTypeProfile MftVerdict build_witness_plan classify thm_appendix_check type_of",
+    "mft2": "MftVerdict build_witness_plan classify thm_appendix_check type_of",
     "sim.line": "run_line_fssp",
     "sim.plan": "MessagePlan check_c_conditions run_message_plan",
     "sim.sh1": "run_sh1",

@@ -56,6 +56,40 @@ class TestStructure:
             LineSynchronizer(n)
 
 
+def _signature_census(n: int) -> int:
+    """Distinct cell signatures over a run of the n-cell line, read after
+    every step: whether the cell is a general, the directions of its fast
+    signals, and the (level, direction, move parity) of its live slow
+    signals, moved or not (an unmoved slow sits at its general's cell)."""
+    sync = LineSynchronizer(n)
+    seen = set()
+    step = sync._step
+
+    def step_and_record(t):
+        step(t)
+        slows = [s for due in sync.move_schedule.values() for s in due if s.alive]
+        for cell in range(n):
+            seen.add((
+                sync.births[cell] is not None,
+                frozenset(f.dir for f in sync.fasts if f.alive and f.cell == cell),
+                frozenset((s.level, s.dir, s.moves % 2) for s in slows if s.cell == cell),
+            ))
+
+    sync._step = step_and_record
+    sync.run()
+    return len(seen)
+
+
+class TestStateCensus:
+    def test_signatures_grow_with_the_line(self):
+        # Each general emits slow signals of every level up to log2 of the
+        # horizon, so no fixed state set covers every n: the engine is a
+        # signal machine, not a finite automaton.
+        counts = [_signature_census(n) for n in (8, 32, 128, 512)]
+        assert counts == [18, 43, 86, 141]
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
 class TestCausalityCheck:
     @pytest.mark.parametrize("name", ["_Fast", "_Slow"])
     def test_nonlocal_move_raises(self, monkeypatch, name):

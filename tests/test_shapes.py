@@ -351,6 +351,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             compute_ck(3, checkpoint=str(path))
 
+    def test_record_outside_the_tasks_is_a_parse_error(self, tmp_path, no_process_pool):
+        # (2, 4) is a slab of k=4, but row0 3 holds two holes and leaves the
+        # three rows above it one: compute_ck never runs this task.
+        path = tmp_path / "ck.jsonl"
+        compute_ck(4, checkpoint=str(path))
+        with path.open("a") as fh:
+            fh.write('{"v": 4, "k": 4, "w": 2, "h": 4, "row0": 3, "shapes": 0, "pairs": 0, '
+                     '"best": -1, "arg": []}\n')
+        with pytest.raises(ParseError, match="no task"):
+            compute_ck(4, checkpoint=str(path))
+
     def test_missing_field_is_a_parse_error(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         path.write_text('{"v": 4, "k": 3, "w": 1, "h": 1, "row0": 1, "shapes": 1, "pairs": 0}\n')

@@ -3,18 +3,14 @@ import hashlib
 
 import pytest
 
-from fssp_holes.errors import (
-    NotInBarrierError,
-    SizeMismatchError,
-    WrongHoleCountError,
-)
-from fssp_holes.grid import Position, validate
+from fssp_holes import timebounds
+from fssp_holes.errors import NotInBarrierError, SizeMismatchError
+from fssp_holes.grid import Position, bfs_distance, distance_grid, regions, validate
 from fssp_holes.timebounds import (
     CertificateChain,
     ChainStep,
     certificate_search_report,
     critical_holes,
-    critical_pair_theorem_check,
     equiv_prime,
     has_critical_pair,
     max_t,
@@ -78,11 +74,9 @@ class TestCriticalPairs:
         assert not has_critical_pair(validate(12, [(5, 7), (9, 2)]))
 
     def test_theorem_check(self):
-        assert critical_pair_theorem_check(validate(12, [(6, 4), (7, 5)]))
-        assert not critical_pair_theorem_check(validate(12, [(3, 3), (8, 8)]))
-        assert not critical_pair_theorem_check(validate(12, [(5, 7), (9, 2)]))
-        with pytest.raises(WrongHoleCountError):
-            critical_pair_theorem_check(validate(12, [(3, 3)]))
+        for holes in ([(6, 4), (7, 5)], [(3, 3), (8, 8)], [(5, 7), (9, 2)]):
+            cfg = validate(12, holes)
+            assert max_t(cfg) == 2 * 12 + has_critical_pair(cfg)
 
 
 class TestEquivPrime:
@@ -249,3 +243,18 @@ def test_tampered_chain_is_rejected(holes, steps):
     chain = _chain(holes, steps)
     assert not verify_certificate(chain)
     assert not verify_certificate(chain, check_equiv=True)
+
+
+def test_per_size_caches_stay_bounded():
+    """A sweep over many sizes keeps at most a few entries of each per-size
+    cache: an entry at w = MAX_SIZE holds tens to hundreds of MB."""
+    for w in range(11, 19):
+        cfg = validate(w, [(w - 2, 3), (3, w - 2)])
+        chain, reason = certificate_search_report(cfg)  # regions and _move_tables
+        assert reason == "found" and verify_certificate(chain)
+        for corner in ((0, 0), (0, w), (w, 0), (w, w)):
+            bfs_distance(cfg, corner, (w // 2, w // 2))
+        assert t_of(cfg, (w, w)) == w + w
+    assert regions.cache_info().currsize <= 2
+    assert timebounds._move_tables.cache_info().currsize <= 2
+    assert distance_grid.cache_info().currsize <= 8
