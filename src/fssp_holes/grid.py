@@ -1,4 +1,4 @@
-"""Core geometry: positions, configurations, distances, patterns, regions.
+"""Core geometry: positions, configurations, distances, patterns.
 
 Every grid distance runs on one cell encoding, the free mask: node (x, y)
 is bit x * stride + y of one big int.  _bfs turns a free mask into a full
@@ -83,11 +83,6 @@ class Configuration:
                 p = Position(x, y)
                 if p not in self.holes:
                     yield p
-
-    def positions(self) -> Iterable[Position]:
-        for x in range(self.size + 1):
-            for y in range(self.size + 1):
-                yield Position(x, y)
 
     def index(self, p: Position) -> int:
         """p's bit in free_mask(self), and its entry in a distance_grid field."""
@@ -405,61 +400,6 @@ def has_pattern(cfg: Configuration, pattern: Pattern) -> bool:
     the pattern's holes in it."""
     domain = pattern.domain
     return all(map(cfg.in_square, domain)) and cfg.holes & domain == pattern.holes
-
-
-@dataclass(frozen=True)
-class RegionFamily:
-    """The U/V/W/X partition of S_w plus the H0/H1/H2 half-plane-like sets."""
-
-    size: int
-    U: frozenset[Position]
-    V: frozenset[Position]
-    W: frozenset[Position]
-    X: frozenset[Position]
-    H0: frozenset[Position]
-    H1: frozenset[Position]
-    H2: frozenset[Position]
-    v_cnt: Position
-
-    @property
-    def UV(self) -> frozenset[Position]:
-        return self.U | self.V
-
-    @property
-    def UVW(self) -> frozenset[Position]:
-        return self.U | self.V | self.W
-
-
-@lru_cache(maxsize=2)  # one family at w = MAX_SIZE holds about 176 MB
-def regions(w: int) -> RegionFamily:
-    """Region family of S_w.
-
-    U u V is the lower-left quadrant up to floor(w/2); W is the L-shaped band
-    one step further out, excluding its outer corner exactly when w is even;
-    H0/H1/H2 are the x+y <= w+1, x <= floor(w/2)+1 and y <= floor(w/2)+1 sets.
-    """
-    if w < 2:
-        raise ValueError(f"regions need w >= 2, got {w}")
-    h = w // 2
-    square = [Position(x, y) for x in range(w + 1) for y in range(w + 1)]
-    UV = frozenset(p for p in square if p.x <= h and p.y <= h)
-    U = frozenset(p for p in UV if p.x <= h - 1 and p.y <= h - 1)
-    V = UV - U
-    if w % 2 == 0:
-        W = frozenset(
-            [Position(x, h + 1) for x in range(h + 1)]
-            + [Position(h + 1, y) for y in range(h + 1)]
-        )
-    else:
-        W = (
-            frozenset(p for p in square if p.x <= h + 1 and p.y <= h + 1)
-            - UV
-        )
-    X = frozenset(square) - UV - W
-    H0 = frozenset(p for p in square if p.x + p.y <= w + 1)
-    H1 = frozenset(p for p in square if p.x <= h + 1)
-    H2 = frozenset(p for p in square if p.y <= h + 1)
-    return RegionFamily(w, U, V, W, X, H0, H1, H2, Position(h, h))
 
 
 # ---------------------------------------------------------------------------

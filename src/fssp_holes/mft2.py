@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (
     BoundViolatedError,
     NotUpperBoundCaseError,
+    OutOfSquareError,
     PreconditionViolatedError,
     SizeTooSmallError,
     WrongHoleCountError,
@@ -26,7 +27,6 @@ from .grid import (
     bfs_distance,
     mh_distance,
     pattern_of,
-    regions,
 )
 from .sim.plan import MessagePlan, PlanCheckReport, check_c_conditions
 from .timebounds import (
@@ -37,12 +37,40 @@ from .timebounds import (
 )
 
 
+def region_of(w: int, p: tuple[int, int]) -> str:
+    """Which of the regions U, V, W, X of S_w holds the position p.
+
+    With h = floor(w/2) and m = max(x, y): U is m < h and V is m == h, so
+    U u V is the lower-left square up to h.  W is the L-shaped band m == h + 1
+    one step further out, owning its outer corner (h+1, h+1) exactly when w
+    is odd.  X is the rest.
+    """
+    x, y = p
+    if not (0 <= x <= w and 0 <= y <= w):
+        raise OutOfSquareError(f"{tuple(p)} is outside the {w}-square")
+    h = w // 2
+    m = max(x, y)
+    if m < h:
+        return "U"
+    if m == h:
+        return "V"
+    if m == h + 1 and (min(x, y) <= h or w % 2):
+        return "W"
+    return "X"
+
+
+def _square(n: int) -> set[tuple[int, int]]:
+    """The cells with 0 <= x, y < n: U u V for n = h + 1, and U u V u W
+    plus the band's outer corner (h+1, h+1) for n = h + 2."""
+    return {(x, y) for x in range(n) for y in range(n)}
+
+
 def type_of(cfg: Configuration) -> tuple[int, int, int, int]:
     """How many of the two holes lie in U, V, W and X."""
     if cfg.k != 2:
         raise WrongHoleCountError(f"type is defined for exactly 2 holes, got {cfg.k}")
-    fam = regions(cfg.size)
-    return tuple(sum(1 for h in cfg.holes if h in s) for s in (fam.U, fam.V, fam.W, fam.X))
+    names = [region_of(cfg.size, h) for h in cfg.holes]
+    return tuple(names.count(r) for r in "UVWX")
 
 
 @dataclass(frozen=True)
@@ -56,13 +84,12 @@ class MftVerdict:
 
 def is_slow_case(cfg: Configuration) -> bool:
     """True iff one of the three 2w+1 conditions holds."""
-    fam = regions(cfg.size)
     nU, nV, nW, _ = type_of(cfg)
     in_uvw = nU + nV + nW
     if in_uvw == 0:
         return True
     if nU == nV == 0 and nW == 1:
-        (w_hole,) = [h for h in cfg.holes if h in fam.W]
+        (w_hole,) = [h for h in cfg.holes if region_of(cfg.size, h) == "W"]
         if is_critical(w_hole):
             return True
     if has_critical_pair(cfg) and in_uvw == 2:
@@ -97,7 +124,7 @@ def classify(cfg: Configuration, with_certificate: bool = True) -> MftVerdict:
 # Witness-plan construction (the upper-bound case analysis)
 
 
-def _plan(cfg: Configuration, region: frozenset[Position], groups) -> MessagePlan:
+def _plan(cfg: Configuration, region: set[tuple[int, int]], groups) -> MessagePlan:
     return MessagePlan(
         target_size=cfg.size,
         slack=0,
@@ -116,95 +143,93 @@ def build_witness_plan(cfg: Configuration) -> MessagePlan:
         raise WrongHoleCountError(f"witness plans need exactly 2 holes, got {cfg.k}")
     if is_slow_case(cfg):
         raise NotUpperBoundCaseError("configuration is a 2w+1 case; no witness plan exists")
-    fam = regions(cfg.size)
-    v_cnt = fam.v_cnt
+    h = cfg.size // 2
     nU, nV, nW, nX = type_of(cfg)
 
     if nU >= 1 and nV == 0:
         # Holes meet U, none in V: check U u V, one message at the V corner.
-        return _plan(cfg, frozenset(fam.UV), [[v_cnt]])
+        return _plan(cfg, _square(h + 1), [[Position(h, h)]])
 
     if nU == 0 and nV == 0 and nW >= 1:
-        return _w_band_plan(cfg, fam)
+        return _w_band_plan(cfg)
 
     if nU == 0 and nV >= 1:
-        return _v_band_plan(cfg, fam)
+        return _v_band_plan(cfg)
 
     if nU == 1 and nV == 1:
-        return _u_v_pair_plan(cfg, fam)
+        return _u_v_pair_plan(cfg)
 
     raise AssertionError(f"unhandled fast-case type {(nU, nV, nW, nX)}")
 
 
-def _w_band_plan(cfg: Configuration, fam) -> MessagePlan:
+def _w_band_plan(cfg: Configuration) -> MessagePlan:
     """Both holes outside U u V, at least one in W."""
-    w, v_cnt = cfg.size, fam.v_cnt
+    w = cfg.size
+    v_cnt = Position(w // 2, w // 2)
     corner = v_cnt + (1, 1)
     up, right = v_cnt + (0, 1), v_cnt + (1, 0)
+    uvw = _square(w // 2 + 2)  # with the band's outer corner
     if cfg.holes == {up, right}:
         # Both cells just outside the V corner are holes: one checking
         # message cannot reach past them, so a second group pinning the two
         # critical cells covers the far corner.
-        region = fam.UVW if w % 2 == 0 else fam.UVW - {corner}
         return _plan(
             cfg,
-            frozenset(region),
+            uvw - {corner},
             [[v_cnt], [v_cnt + (-1, 1), v_cnt + (1, -1)]],
         )
-    if w % 2 == 0:
-        return _plan(cfg, frozenset(fam.UVW), [[v_cnt]])
-    # Odd w: the W band owns its outer corner, which no U u V neighbor sees.
-    w_prime = fam.W - {corner}
-    c0 = sum(1 for h in cfg.holes if h in w_prime and is_critical(h))
-    c2 = corner in cfg.holes
-    if c2 and c0 <= 1 and not any(
-        h in w_prime and not is_critical(h) for h in cfg.holes
-    ):
+    # For odd w the W band owns its outer corner, which no U u V neighbor sees.
+    w_prime = [h for h in cfg.holes if h != corner and region_of(w, h) == "W"]
+    if w % 2 and corner in cfg.holes and all(map(is_critical, w_prime)):
         # Corner hole present, rest of the band clean or one critical hole:
         # two alternative messages just past the V corner check it.
-        return _plan(cfg, frozenset(fam.UVW), [[up], [right]])
-    return _plan(cfg, frozenset(fam.UVW - {corner}), [[v_cnt]])
+        return _plan(cfg, uvw, [[up], [right]])
+    return _plan(cfg, uvw - {corner}, [[v_cnt]])
 
 
-def _v_band_plan(cfg: Configuration, fam) -> MessagePlan:
+def _v_band_plan(cfg: Configuration) -> MessagePlan:
     """No holes in U, at least one in V: the shrunk mirror of the W-band cases."""
-    v_cnt = fam.v_cnt
+    h = cfg.size // 2
+    v_cnt = Position(h, h)
     down, left = v_cnt - (0, 1), v_cnt - (1, 0)
     inner = v_cnt - (1, 1)
+    uv = _square(h + 1)
     if cfg.holes == {down, left}:
         return _plan(
             cfg,
-            frozenset(fam.UV - {v_cnt}),
+            uv - {v_cnt},
             [[inner], [v_cnt - (2, 0), v_cnt - (0, 2)]],
         )
-    v_prime = fam.V - {v_cnt}
-    crit_vp = [h for h in cfg.holes if h in v_prime and is_critical(h)]
-    noncrit_vp = [h for h in cfg.holes if h in v_prime and not is_critical(h)]
+    v_prime = [p for p in cfg.holes if p != v_cnt and region_of(cfg.size, p) == "V"]
+    crit_vp = [p for p in v_prime if is_critical(p)]
+    noncrit_vp = [p for p in v_prime if not is_critical(p)]
     b2 = v_cnt in cfg.holes
     if b2 and len(crit_vp) <= 1 and not noncrit_vp:
-        return _plan(cfg, frozenset(fam.UV), [[left], [down]])
+        return _plan(cfg, uv, [[left], [down]])
     if len(crit_vp) == 1 and not noncrit_vp and not b2:
         # Unique critical hole in the band; its diagonal outward neighbor
         # must be pinned a node or a completion could close a critical pair.
         (v0,) = crit_vp
-        if v0.y == cfg.size // 2:  # horizontal arm
-            return _plan(cfg, frozenset(fam.UV | {v0 + (1, 1)}), [[left]])
-        return _plan(cfg, frozenset(fam.UV | {v0 + (1, 1)}), [[down]])
-    return _plan(cfg, frozenset(fam.UV - {v_cnt}), [[inner]])
+        if v0.y == h:  # horizontal arm
+            return _plan(cfg, uv | {v0 + (1, 1)}, [[left]])
+        return _plan(cfg, uv | {v0 + (1, 1)}, [[down]])
+    return _plan(cfg, uv - {v_cnt}, [[inner]])
 
 
-def _u_v_pair_plan(cfg: Configuration, fam) -> MessagePlan:
+def _u_v_pair_plan(cfg: Configuration) -> MessagePlan:
     """One hole in U, one on either arm of V.
 
     along points down the V hole's arm: east on the horizontal arm, north on
     the vertical one, so one construction serves both mirror images.
     """
-    v0 = next(h for h in cfg.holes if h in fam.U)
-    v1 = next(h for h in cfg.holes if h in fam.V)
-    along = (1, 0) if v1.y == cfg.size // 2 else (0, 1)
+    w = cfg.size
+    v0 = next(h for h in cfg.holes if region_of(w, h) == "U")
+    v1 = next(h for h in cfg.holes if region_of(w, h) == "V")
+    along = (1, 0) if v1.y == w // 2 else (0, 1)
+    uv = _square(w // 2 + 1)
     if v1 == v0 + (1, 1):
-        return _plan(cfg, frozenset(fam.UV), [[v0 + along], [v1 - along]])
-    return _plan(cfg, frozenset(fam.UV), [[v0 - along[::-1], v1 - along]])
+        return _plan(cfg, uv, [[v0 + along], [v1 - along]])
+    return _plan(cfg, uv, [[v0 - along[::-1], v1 - along]])
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +248,8 @@ def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, in
     w = cfg.size
     if w < 5 or cfg.k != 2:
         raise PreconditionViolatedError("needs w >= 5 and exactly 2 holes")
-    fam = regions(w)
     v, v2 = Position(*v), Position(*v2)
-    if v not in fam.UV or not cfg.is_node(v) or not cfg.is_node(v2):
+    if not cfg.is_node(v) or not cfg.is_node(v2) or region_of(w, v) not in ("U", "V"):
         raise PreconditionViolatedError("v must be a U u V node and v' a node")
     if mh_distance(V_GEN, v) + bfs_distance(cfg, v, v2) <= 2 * w:
         return HOLDS
@@ -251,7 +275,7 @@ def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, in
         return "Exception3"
     if (
         even
-        and v == fam.v_cnt
+        and v == (h, h)
         and cfg.holes == {v - (0, 1), v - (1, 0)}
         and v2 in {Position(1, 0), Position(0, 1), Position(0, 0)}
     ):

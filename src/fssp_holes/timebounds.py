@@ -11,7 +11,7 @@ bounds by reaching a configuration with a critical pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress, product
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -29,7 +29,6 @@ from .grid import (
     free_mask,
     node_bit,
     radius,
-    regions,
     validate,
     walk_mask,
 )
@@ -48,9 +47,15 @@ WITNESS_CORNER = {
 }
 
 
-def half_plane_set(w: int, name: str) -> frozenset[Position]:
-    fam = regions(w)
-    return {"H0": fam.H0, "H1": fam.H1, "H2": fam.H2}[name]
+def planes_outside(w: int, p: tuple[int, int]) -> tuple[str, ...]:
+    """The names of the H0/H1/H2 sets that the cell p of S_w lies outside.
+
+    With h = floor(w/2): H0 is x + y <= w + 1, H1 is x <= h + 1 and H2 is
+    y <= h + 1.
+    """
+    x, y = p
+    h = w // 2
+    return tuple(compress(HALF_PLANES, (x + y > w + 1, x > h + 1, y > h + 1)))
 
 
 def t_of(cfg: Configuration, v: tuple[int, int]) -> int:
@@ -153,14 +158,16 @@ def pattern_move_equiv(cfg_a: Configuration, cfg_b: Configuration, plane: str) -
     """Pattern equality of the two configurations on H0, H1 or H2.
 
     Both squares have the same size and contain the set, so the patterns
-    agree exactly when the holes inside the set do.
+    agree exactly when every hole of one that is not a hole of the other
+    lies outside the set.
     """
     if cfg_a.size != cfg_b.size:
         raise SizeMismatchError(
             f"sizes differ: {cfg_a.size} vs {cfg_b.size}"
         )
-    region = half_plane_set(cfg_a.size, plane)
-    return cfg_a.holes & region == cfg_b.holes & region
+    if plane not in HALF_PLANES:
+        raise ValueError(f"unknown set {plane!r}, expected one of {', '.join(HALF_PLANES)}")
+    return all(plane in planes_outside(cfg_a.size, h) for h in cfg_a.holes ^ cfg_b.holes)
 
 
 @dataclass(frozen=True)
@@ -195,22 +202,18 @@ class CertificateChain:
         return cfg
 
 
-@lru_cache(maxsize=2)  # the tables at w = MAX_SIZE hold about 182 MB
-def _move_tables(w: int):
-    """Per-w lookup tables of the relocation moves, all over interior cells.
-
-    Returns (planes, outside): planes maps each cell to the names of the
-    H0/H1/H2 sets it lies outside, and outside maps each name to its cells
-    outside that set, in (x, y) order.
-    """
-    fam = regions(w)
-    cells = [Position(x, y) for x in range(1, w) for y in range(1, w)]
-    planes = {c: tuple(n for n in HALF_PLANES if c not in getattr(fam, n)) for c in cells}
-    outside = {n: tuple(c for c in cells if n in planes[c]) for n in HALF_PLANES}
-    return planes, outside
+def _outside_cells(w: int, name: str) -> list[tuple[int, int]]:
+    """The interior cells outside the set H0, H1 or H2, in (x, y) order:
+    planes_outside's rule for that set as ranges."""
+    h = w // 2
+    if name == "H0":
+        return [(x, y) for x in range(1, w) for y in range(w + 2 - x, w)]
+    if name == "H1":
+        return list(product(range(h + 2, w), range(1, w)))
+    return list(product(range(1, w), range(h + 2, w)))
 
 
-def _closing_move(state, planes) -> ChainStep | None:
+def _closing_move(w: int, state) -> ChainStep | None:
     """A move that turns the two-hole state into a critical pair, or None.
 
     The kept hole must be critical and the other one moves onto an interior
@@ -220,10 +223,13 @@ def _closing_move(state, planes) -> ChainStep | None:
     """
     for stay, moved in (state, state[::-1]):
         if is_critical(stay):
-            for g in (stay - (1, 1), stay + (1, 1)):
-                for name in planes.get(g, ()):
-                    if name in planes[moved]:
-                        return ChainStep(name, moved, g)
+            x, y = stay
+            moved_out = planes_outside(w, moved)
+            for g in ((x - 1, y - 1), (x + 1, y + 1)):
+                if 0 < g[0] < w and 0 < g[1] < w:
+                    for name in planes_outside(w, g):
+                        if name in moved_out:
+                            return ChainStep(name, Position(*moved), Position(*g))
     return None
 
 
@@ -249,27 +255,29 @@ def certificate_search_report(
     if has_critical_pair(cfg):
         return CertificateChain(cfg, ()), "immediate"
     w = cfg.size
-    planes, outside = _move_tables(w)
-    start = tuple(sorted(cfg.holes))
+    start = tuple(sorted(map(tuple, cfg.holes)))
     parent: dict = {start: None}  # state -> (previous state, *step into it)
+    outside: dict = {}  # set name -> _outside_cells(w, name), built on first use
     expanded: set = set()  # (kept hole, set name) whose moves are queued
     level = [start]
     while level:
         for state in level:
-            last = _closing_move(state, planes)
+            last = _closing_move(w, state)
             if last is not None:
                 steps = [last]
                 while parent[state] is not None:
-                    state, *step = parent[state]
-                    steps.append(ChainStep(*step))
+                    state, name, moved, target = parent[state]
+                    steps.append(ChainStep(name, Position(*moved), Position(*target)))
                 return CertificateChain(cfg, tuple(reversed(steps))), "found"
         nxt = []
         for state in level:
             for moved, stay in (state, state[::-1]):
-                for name in planes[moved]:
+                for name in planes_outside(w, moved):
                     if (stay, name) in expanded:
                         continue
                     expanded.add((stay, name))
+                    if name not in outside:
+                        outside[name] = _outside_cells(w, name)
                     for target in outside[name]:
                         if target == stay:
                             continue
@@ -298,9 +306,8 @@ def verify_certificate(chain: CertificateChain, check_equiv: bool = False) -> bo
             nxt = _relocate(cfg, step)
         except ValidationError:
             return False
-        plane = half_plane_set(w, step.half_plane)
-        if step.moved_from in plane or Position(*step.moved_to) in plane:
-            return False
+        # The step's two ends are the holes that differ: both must lie
+        # outside the set.
         if not pattern_move_equiv(cfg, nxt, step.half_plane):
             return False
         if check_equiv:

@@ -22,7 +22,6 @@ from fssp_holes.grid import (
     free_mask,
     mh_distance,
     node_bit,
-    regions,
     validate,
 )
 from fssp_holes.mft2 import classify, thm_appendix_check
@@ -39,7 +38,7 @@ from fssp_holes.timebounds import (
     verify_certificate,
 )
 
-from conftest import make_random_config, maximal_barriers_bruteforce
+from conftest import make_random_config, maximal_barriers_bruteforce, regions
 
 pytestmark = pytest.mark.acceptance
 

@@ -75,8 +75,9 @@ def test_distance_grid_matches_oracle(cfg, data):
     source = data.draw(st.sampled_from(sorted(nodes)))
     expected = oracle_bfs(nodes, source)
     grid = distance_grid(cfg, Position(*source))
-    for p in cfg.positions():
-        assert grid[cfg.index(p)] == expected.get(tuple(p), -1)
+    for x in range(cfg.size + 1):
+        for y in range(cfg.size + 1):
+            assert grid[cfg.index((x, y))] == expected.get((x, y), -1)
 
 
 @given(st.sampled_from(SHAPES))
@@ -159,7 +160,8 @@ def test_free_mask_bits_are_the_nodes_in_order(case):
     free = free_mask(cfg, stride)
     bits = [i for i in range(free.bit_length()) if free >> i & 1]
     assert bits == [p.x * stride + p.y for p in cfg.nodes()]
-    assert bits_set(free, stride, cfg.positions()) == [cfg.is_node(p) for p in cfg.positions()]
+    square = [(x, y) for x in range(cfg.size + 1) for y in range(cfg.size + 1)]
+    assert bits_set(free, stride, square) == [cfg.is_node(p) for p in square]
 
 
 def test_free_mask_refuses_a_stride_without_guard_bits():

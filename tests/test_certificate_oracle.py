@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fssp_holes.grid import Pattern, Position, regions, validate
+from fssp_holes.grid import Pattern, Position, validate
 from fssp_holes.mft2 import build_witness_plan, is_slow_case
 from fssp_holes.sim.plan import MessagePlan, check_c_conditions, pattern_completions
 from fssp_holes.timebounds import (
@@ -25,7 +25,7 @@ from fssp_holes.timebounds import (
     verify_certificate,
 )
 
-from conftest import all_two_hole_configs
+from conftest import all_two_hole_configs, regions
 
 pytestmark = pytest.mark.slow
 

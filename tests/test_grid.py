@@ -8,6 +8,7 @@ from fssp_holes.errors import (
     BoundaryHoleError,
     DisconnectedError,
     NotANodeError,
+    OutOfSquareError,
     SizeTooLargeError,
     SizeTooSmallError,
     TooManyHolesError,
@@ -25,12 +26,13 @@ from fssp_holes.grid import (
     load_json,
     mh_distance,
     pattern_of,
-    regions,
     square_rows,
     validate,
 )
+from fssp_holes.mft2 import region_of
+from fssp_holes.timebounds import HALF_PLANES, _outside_cells, planes_outside
 
-from conftest import make_random_config, serpentine_maze
+from conftest import make_random_config, regions, serpentine_maze
 
 
 class TestValidate:
@@ -143,23 +145,48 @@ class TestPatterns:
     def test_round_trip_property(self, rng):
         for _ in range(20):
             cfg = make_random_config(rng, 9, rng.randint(0, 3))
-            region = rng.sample(list(cfg.positions()), 12)
+            square = [(x, y) for x in range(cfg.size + 1) for y in range(cfg.size + 1)]
+            region = rng.sample(square, 12)
             assert has_pattern(cfg, pattern_of(cfg, region))
 
 
 class TestRegions:
+    """The closed-form region rules, mft2.region_of and
+    timebounds.planes_outside, against the frozenset oracle conftest.regions."""
+
     def test_membership_examples(self):
-        fam = regions(12)
-        assert Position(5, 5) in fam.U
-        assert Position(6, 3) in fam.V
-        assert Position(5, 7) in fam.W
-        assert Position(7, 7) in fam.X
-        assert Position(6, 6) in regions(11).W
-        assert Position(6, 7) in fam.H0 and Position(7, 7) not in fam.H0
+        assert region_of(12, (5, 5)) == "U"
+        assert region_of(12, (6, 3)) == "V"
+        assert region_of(12, (5, 7)) == "W"
+        assert region_of(12, (7, 7)) == "X"
+        assert region_of(11, (6, 6)) == "W"
+        assert planes_outside(12, (6, 7)) == () and planes_outside(12, (7, 7)) == ("H0",)
 
     def test_v_cnt(self):
         fam = regions(12)
         assert fam.v_cnt == (6, 6) and fam.v_cnt in fam.V
+        assert region_of(12, fam.v_cnt) == "V"
+
+    @pytest.mark.parametrize("w", range(2, 41))
+    def test_rules_match_the_oracle(self, w):
+        fam = regions(w)
+        interior = [Position(x, y) for x in range(1, w) for y in range(1, w)]
+        for x in range(w + 1):
+            for y in range(w + 1):
+                p = Position(x, y)
+                assert p in getattr(fam, region_of(w, p))
+                assert planes_outside(w, p) == tuple(
+                    n for n in HALF_PLANES if p not in getattr(fam, n)
+                )
+        # The search's outside-cell lists: the same cells, in (x, y) order.
+        for n in HALF_PLANES:
+            assert _outside_cells(w, n) == sorted(c for c in interior if c not in getattr(fam, n))
+
+    def test_off_the_square_is_an_error(self):
+        # max(x, y) alone would call (-1, 0) a U cell.
+        for p in ((-1, 0), (0, -1), (-1, -1), (13, 0), (0, 13)):
+            with pytest.raises(OutOfSquareError):
+                region_of(12, p)
 
     @pytest.mark.parametrize("w", range(4, 41))
     def test_partition_and_halfplane_identities(self, w):

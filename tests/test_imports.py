@@ -135,14 +135,14 @@ def test_tvc_prints_as_before(fresh):
 
 #: The package's public names, by the module that defines them.
 PUBLIC = {
-    "grid": "Configuration Pattern Position RegionFamily bfs_distance boundary_condition "
-            "has_pattern mh_distance pattern_of regions validate",
+    "grid": "Configuration Pattern Position bfs_distance boundary_condition "
+            "has_pattern mh_distance pattern_of validate",
     "barriers": "Rect corner_mh_access is_barrier maximal_barriers",
     "shapes": "BarrierShape ShapeEval ck_bounds compute_ck d0_d1 e_of enumerate_shapes "
               "evaluate h_kw",
     "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair max_t "
                   "pattern_move_equiv t_formula t_of verify_certificate",
-    "mft2": "MftVerdict build_witness_plan classify thm_appendix_check type_of",
+    "mft2": "MftVerdict build_witness_plan classify region_of thm_appendix_check type_of",
     "sim.line": "run_line_fssp",
     "sim.plan": "MessagePlan check_c_conditions run_message_plan",
     "sim.sh1": "run_sh1",

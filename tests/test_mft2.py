@@ -11,7 +11,7 @@ from fssp_holes.errors import (
     SizeTooSmallError,
     WrongHoleCountError,
 )
-from fssp_holes.grid import Pattern, Position, regions, validate
+from fssp_holes.grid import Pattern, Position, validate
 from fssp_holes.mft2 import (
     build_witness_plan,
     classify,
@@ -21,7 +21,7 @@ from fssp_holes.mft2 import (
 from fssp_holes.sim.plan import MessagePlan, check_c_conditions, run_message_plan
 from fssp_holes.timebounds import certificate_search_report, max_t, verify_certificate
 
-from conftest import all_two_hole_configs, make_random_config
+from conftest import all_two_hole_configs, make_random_config, regions
 
 
 class TestTypeOf:
@@ -249,6 +249,8 @@ class TestAppendixPredicate:
         cfg = validate(12, [(5, 3), (6, 4)])
         with pytest.raises(PreconditionViolatedError):
             thm_appendix_check(cfg, (11, 11), (0, 0))  # v outside U u V
+        with pytest.raises(PreconditionViolatedError):
+            thm_appendix_check(cfg, (-1, 0), (0, 0))  # v off the square
         with pytest.raises(PreconditionViolatedError):
             thm_appendix_check(validate(4, [(1, 1), (2, 2)]), (1, 2), (0, 0))
 

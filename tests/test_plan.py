@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fssp_holes.errors import OutOfSquareError, PreconditionViolatedError
-from fssp_holes.grid import Pattern, Position, pattern_of, regions, validate
+from fssp_holes.grid import Pattern, Position, pattern_of, validate
 from fssp_holes.mft2 import build_witness_plan
 from fssp_holes.shapes import compute_ck
 from fssp_holes.sim.plan import (
@@ -16,6 +16,8 @@ from fssp_holes.sim.plan import (
     worked_instance_plan,
 )
 from fssp_holes.timebounds import max_t
+
+from conftest import regions
 
 
 def late_completion(plan: MessagePlan, k: int):

@@ -3,9 +3,8 @@ import hashlib
 
 import pytest
 
-from fssp_holes import timebounds
 from fssp_holes.errors import NotInBarrierError, SizeMismatchError
-from fssp_holes.grid import Position, bfs_distance, distance_grid, regions, validate
+from fssp_holes.grid import Position, bfs_distance, distance_grid, validate
 from fssp_holes.timebounds import (
     CertificateChain,
     ChainStep,
@@ -20,7 +19,7 @@ from fssp_holes.timebounds import (
     verify_certificate,
 )
 
-from conftest import all_two_hole_configs, make_random_config
+from conftest import all_two_hole_configs, make_random_config, regions
 
 
 class TestTOf:
@@ -120,8 +119,6 @@ class TestPatternMoveEquiv:
 
     def test_matches_pattern_of(self, rng):
         from fssp_holes.grid import pattern_of
-        from fssp_holes.timebounds import half_plane_set
-
         for _ in range(200):
             w = rng.randint(4, 12)
             a = make_random_config(rng, w, rng.randint(0, 3))
@@ -129,7 +126,7 @@ class TestPatternMoveEquiv:
             if rng.random() < 0.5:
                 b = validate(w, a.holes | {h for h in b.holes if h.x > w // 2})
             for plane in ("H0", "H1", "H2"):
-                region = half_plane_set(w, plane)
+                region = getattr(regions(w), plane)
                 want = pattern_of(a, region) == pattern_of(b, region)
                 assert pattern_move_equiv(a, b, plane) == want
 
@@ -137,15 +134,21 @@ class TestPatternMoveEquiv:
         with pytest.raises(SizeMismatchError):
             pattern_move_equiv(validate(11, []), validate(12, []), "H0")
 
+    def test_unknown_set_is_an_error(self):
+        a = validate(12, [(10, 3), (3, 10)])
+        for b in (a, validate(12, [(10, 3), (9, 11)])):
+            with pytest.raises(ValueError):
+                pattern_move_equiv(a, b, "H3")
+
     def test_implies_equiv_prime_sample(self, rng):
         # full exhaustive version runs in the acceptance suite
-        from fssp_holes.timebounds import WITNESS_CORNER, half_plane_set
+        from fssp_holes.timebounds import WITNESS_CORNER
 
         w = 11
         for _ in range(40):
             cfg = make_random_config(rng, w, 2)
             plane = rng.choice(("H0", "H1", "H2"))
-            region = half_plane_set(w, plane)
+            region = getattr(regions(w), plane)
             movable = [h for h in cfg.holes if h not in region]
             if not movable:
                 continue
@@ -246,15 +249,13 @@ def test_tampered_chain_is_rejected(holes, steps):
 
 
 def test_per_size_caches_stay_bounded():
-    """A sweep over many sizes keeps at most a few entries of each per-size
-    cache: an entry at w = MAX_SIZE holds tens to hundreds of MB."""
+    """A sweep over many sizes keeps at most a few entries of the per-size
+    distance_grid cache: an entry at w = MAX_SIZE holds about 39 MB."""
     for w in range(11, 19):
         cfg = validate(w, [(w - 2, 3), (3, w - 2)])
-        chain, reason = certificate_search_report(cfg)  # regions and _move_tables
+        chain, reason = certificate_search_report(cfg)
         assert reason == "found" and verify_certificate(chain)
         for corner in ((0, 0), (0, w), (w, 0), (w, w)):
             bfs_distance(cfg, corner, (w // 2, w // 2))
         assert t_of(cfg, (w, w)) == w + w
-    assert regions.cache_info().currsize <= 2
-    assert timebounds._move_tables.cache_info().currsize <= 2
     assert distance_grid.cache_info().currsize <= 8
