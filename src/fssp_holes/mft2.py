@@ -65,12 +65,21 @@ def _square(n: int) -> set[tuple[int, int]]:
     return {(x, y) for x in range(n) for y in range(n)}
 
 
-def type_of(cfg: Configuration) -> tuple[int, int, int, int]:
-    """How many of the two holes lie in U, V, W and X."""
+def _hole_regions(cfg: Configuration) -> dict[Position, str]:
+    """The region of each of the two holes, computed once per answer."""
     if cfg.k != 2:
         raise WrongHoleCountError(f"type is defined for exactly 2 holes, got {cfg.k}")
-    names = [region_of(cfg.size, h) for h in cfg.holes]
+    return {h: region_of(cfg.size, h) for h in cfg.holes}
+
+
+def _counts(regions: dict[Position, str]) -> tuple[int, int, int, int]:
+    names = list(regions.values())
     return tuple(names.count(r) for r in "UVWX")
+
+
+def type_of(cfg: Configuration) -> tuple[int, int, int, int]:
+    """How many of the two holes lie in U, V, W and X."""
+    return _counts(_hole_regions(cfg))
 
 
 @dataclass(frozen=True)
@@ -84,12 +93,16 @@ class MftVerdict:
 
 def is_slow_case(cfg: Configuration) -> bool:
     """True iff one of the three 2w+1 conditions holds."""
-    nU, nV, nW, _ = type_of(cfg)
+    return _is_slow(cfg, _hole_regions(cfg))
+
+
+def _is_slow(cfg: Configuration, regions: dict[Position, str]) -> bool:
+    nU, nV, nW, _ = _counts(regions)
     in_uvw = nU + nV + nW
     if in_uvw == 0:
         return True
     if nU == nV == 0 and nW == 1:
-        (w_hole,) = [h for h in cfg.holes if region_of(cfg.size, h) == "W"]
+        (w_hole,) = [h for h, r in regions.items() if r == "W"]
         if is_critical(w_hole):
             return True
     if has_critical_pair(cfg) and in_uvw == 2:
@@ -104,7 +117,8 @@ def classify(cfg: Configuration, with_certificate: bool = True) -> MftVerdict:
     if cfg.size < 11:
         raise SizeTooSmallError(f"UNSUPPORTED_SIZE: classifier covers w >= 11, got {cfg.size}")
     w = cfg.size
-    if is_slow_case(cfg):
+    regions = _hole_regions(cfg)
+    if _is_slow(cfg, regions):
         chain = None
         if with_certificate:
             chain, reason = certificate_search_report(cfg)
@@ -115,7 +129,7 @@ def classify(cfg: Configuration, with_certificate: bool = True) -> MftVerdict:
         return MftVerdict(2 * w + 1, "lower_chain", chain=chain)
     plan = check = None
     if with_certificate:
-        plan = build_witness_plan(cfg)
+        plan = _witness_plan(cfg, regions)
         check = check_c_conditions(plan, cfg)
     return MftVerdict(2 * w, "witness_plan", plan=plan, check=check)
 
@@ -141,28 +155,34 @@ def build_witness_plan(cfg: Configuration) -> MessagePlan:
     """
     if cfg.k != 2:
         raise WrongHoleCountError(f"witness plans need exactly 2 holes, got {cfg.k}")
-    if is_slow_case(cfg):
+    regions = _hole_regions(cfg)
+    if _is_slow(cfg, regions):
         raise NotUpperBoundCaseError("configuration is a 2w+1 case; no witness plan exists")
+    return _witness_plan(cfg, regions)
+
+
+def _witness_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
+    """build_witness_plan for a fast configuration whose hole regions are known."""
     h = cfg.size // 2
-    nU, nV, nW, nX = type_of(cfg)
+    nU, nV, nW, nX = _counts(regions)
 
     if nU >= 1 and nV == 0:
         # Holes meet U, none in V: check U u V, one message at the V corner.
         return _plan(cfg, _square(h + 1), [[Position(h, h)]])
 
     if nU == 0 and nV == 0 and nW >= 1:
-        return _w_band_plan(cfg)
+        return _w_band_plan(cfg, regions)
 
     if nU == 0 and nV >= 1:
-        return _v_band_plan(cfg)
+        return _v_band_plan(cfg, regions)
 
     if nU == 1 and nV == 1:
-        return _u_v_pair_plan(cfg)
+        return _u_v_pair_plan(cfg, regions)
 
     raise AssertionError(f"unhandled fast-case type {(nU, nV, nW, nX)}")
 
 
-def _w_band_plan(cfg: Configuration) -> MessagePlan:
+def _w_band_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
     """Both holes outside U u V, at least one in W."""
     w = cfg.size
     v_cnt = Position(w // 2, w // 2)
@@ -179,7 +199,7 @@ def _w_band_plan(cfg: Configuration) -> MessagePlan:
             [[v_cnt], [v_cnt + (-1, 1), v_cnt + (1, -1)]],
         )
     # For odd w the W band owns its outer corner, which no U u V neighbor sees.
-    w_prime = [h for h in cfg.holes if h != corner and region_of(w, h) == "W"]
+    w_prime = [h for h, r in regions.items() if h != corner and r == "W"]
     if w % 2 and corner in cfg.holes and all(map(is_critical, w_prime)):
         # Corner hole present, rest of the band clean or one critical hole:
         # two alternative messages just past the V corner check it.
@@ -187,7 +207,7 @@ def _w_band_plan(cfg: Configuration) -> MessagePlan:
     return _plan(cfg, uvw - {corner}, [[v_cnt]])
 
 
-def _v_band_plan(cfg: Configuration) -> MessagePlan:
+def _v_band_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
     """No holes in U, at least one in V: the shrunk mirror of the W-band cases."""
     h = cfg.size // 2
     v_cnt = Position(h, h)
@@ -200,7 +220,7 @@ def _v_band_plan(cfg: Configuration) -> MessagePlan:
             uv - {v_cnt},
             [[inner], [v_cnt - (2, 0), v_cnt - (0, 2)]],
         )
-    v_prime = [p for p in cfg.holes if p != v_cnt and region_of(cfg.size, p) == "V"]
+    v_prime = [p for p, r in regions.items() if p != v_cnt and r == "V"]
     crit_vp = [p for p in v_prime if is_critical(p)]
     noncrit_vp = [p for p in v_prime if not is_critical(p)]
     b2 = v_cnt in cfg.holes
@@ -216,15 +236,15 @@ def _v_band_plan(cfg: Configuration) -> MessagePlan:
     return _plan(cfg, uv - {v_cnt}, [[inner]])
 
 
-def _u_v_pair_plan(cfg: Configuration) -> MessagePlan:
+def _u_v_pair_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
     """One hole in U, one on either arm of V.
 
     along points down the V hole's arm: east on the horizontal arm, north on
     the vertical one, so one construction serves both mirror images.
     """
     w = cfg.size
-    v0 = next(h for h in cfg.holes if region_of(w, h) == "U")
-    v1 = next(h for h in cfg.holes if region_of(w, h) == "V")
+    v0 = next(h for h, r in regions.items() if r == "U")
+    v1 = next(h for h, r in regions.items() if r == "V")
     along = (1, 0) if v1.y == w // 2 else (0, 1)
     uv = _square(w // 2 + 1)
     if v1 == v0 + (1, 1):

@@ -141,10 +141,8 @@ class LineSynchronizer:
             if not s.alive:
                 continue
             target = s.cell + s.dir
-            if s.moves:  # only a slow that has moved sits in a bucket
-                bucket = self.slow_at.get(s.cell)
-                if bucket is not None and s in bucket:
-                    bucket.remove(s)
+            if s.moves:  # a live slow that has moved sits in its cell's bucket
+                self.slow_at[s.cell].remove(s)
             if not (0 <= target < self.n):
                 s.alive = False
                 continue

@@ -88,6 +88,29 @@ class TestClassify:
             assert time.process_time() - t0 < 1.0
             assert chain is None and reason == "exhausted"
 
+    @pytest.mark.parametrize(
+        "holes",
+        [
+            [(3, 3), (8, 8)],  # U and X: U u V checked from the V corner
+            [(7, 2), (9, 9)],  # W and X: the W-band plan
+            [(6, 2), (9, 9)],  # V and X: the V-band plan
+            [(2, 3), (6, 1)],  # U and V: the U-V pair plan
+        ],
+    )
+    def test_hole_regions_computed_once_per_answer(self, monkeypatch, holes):
+        # one region_of per hole, however many case tests read the regions
+        calls = []
+        real = mft2.region_of
+
+        def counted(w, p):
+            calls.append(p)
+            return real(w, p)
+
+        monkeypatch.setattr(mft2, "region_of", counted)
+        verdict = classify(validate(12, holes), with_certificate=True)
+        assert verdict.value == 24 and verdict.check.ok
+        assert sorted(calls) == sorted(holes)
+
     def test_verdict_dichotomy_and_consistency(self, rng):
         for _ in range(40):
             w = rng.choice((11, 12, 13))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -74,19 +75,41 @@ class TestDiagnostics:
         assert tr.common_fire_time() == 16
 
 
+def record(w, holes):
+    """Fire times, horizon and the five diagnostics of one run, each sorted."""
+    tr = run_sh1(validate(w, holes))
+    layers = {name: sorted(d.items()) for name, d in sorted(tr.diagnostics.items())}
+    return [w, holes, sorted(tr.fire_time.items()), tr.horizon, layers]
+
+
 class TestTranscripts:
     def test_every_transcript_pinned(self):
-        # fire times, horizon and the five diagnostics of the hole-free square
-        # and of every one-hole square at w = 2..12, each sorted
-        records = []
-        for w in range(2, 13):
-            for holes in [[]] + [[h] for h in interior(w)]:
-                tr = run_sh1(validate(w, holes))
-                layers = {name: sorted(d.items()) for name, d in sorted(tr.diagnostics.items())}
-                records.append([w, holes, sorted(tr.fire_time.items()), tr.horizon, layers])
+        # the hole-free square and every one-hole square at w = 2..12
+        records = [
+            record(w, holes) for w in range(2, 13) for holes in [[]] + [[h] for h in interior(w)]
+        ]
         assert len(records[-1][-1]) == 5
         digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
         assert digest == "3058c661ce3b60157de9344f851c2f8049384506174912ef611465158441e88b"
+
+    def test_transcripts_pinned_at_benchmark_sizes(self):
+        # the hole-free square and 8 random one-hole squares at each w = 13..32
+        rng = random.Random(1332)
+        records = []
+        for w in range(13, 33):
+            squares = [[]] + [[(rng.randrange(1, w), rng.randrange(1, w))] for _ in range(8)]
+            records += [record(w, holes) for holes in squares]
+        digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+        assert digest == "4f41d01225f729a449e4f5f4f486d2177537a202ef2149893c5bc5717b449140"
+
+    @pytest.mark.parametrize("w", range(2, 13))
+    def test_transcript_keys_are_positions(self, w):
+        for holes in [[]] + [[h] for h in interior(w)]:
+            tr = run_sh1(validate(w, holes))
+            assert len(tr.diagnostics) == 5
+            for d in (tr.fire_time, *tr.diagnostics.values()):
+                assert all(type(p) is Position for p in d), (w, holes)
+            assert set(tr.diagnostics["corner_patch"]) <= {(w, w)}
 
     @pytest.mark.parametrize("w", [2, 3, 8, 17])
     def test_one_line_run_per_segment_length(self, monkeypatch, w):
