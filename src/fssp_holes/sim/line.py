@@ -25,6 +25,12 @@ caused by a signal that was alive at t in the changed cell or a neighbor.
 Every run checks this for each change, against the cell its cause held at t:
 a moving signal's cell before the move, or the cell the fast signal that
 makes a new general came from (the general's own cell for the double one).
+
+The state is held in lists, so a step builds no dict: `move_schedule` is
+indexed by time (length horizon + 2) and lists the slows due to move then,
+and `slow_at` is indexed by cell and holds the moved live slows sitting
+there (an unmoved slow is only in the schedule).  Each fast signal's
+events, the closed end and an oncoming slow, are tested as it moves.
 """
 
 from __future__ import annotations
@@ -34,23 +40,25 @@ from dataclasses import dataclass
 from ..errors import SizeTooSmallError
 
 
-# eq=False: buckets find and remove a signal by identity, and two sibling
-# slows can hold equal fields.
-@dataclass(eq=False)
 class _Fast:
-    cell: int
-    dir: int
-    birth: int
-    alive: bool = True
+    __slots__ = ("cell", "dir", "birth", "alive")
+
+    def __init__(self, cell: int, dir: int, birth: int, alive: bool = True):
+        self.cell = cell
+        self.dir = dir
+        self.birth = birth
+        self.alive = alive
 
 
-@dataclass(eq=False)
 class _Slow:
-    cell: int  # current cell (origin general until first move)
-    dir: int
-    level: int
-    moves: int = 0
-    alive: bool = True
+    __slots__ = ("cell", "dir", "level", "moves", "alive")
+
+    def __init__(self, cell: int, dir: int, level: int, moves: int = 0, alive: bool = True):
+        self.cell = cell  # current cell (origin general until first move)
+        self.dir = dir
+        self.level = level
+        self.moves = moves
+        self.alive = alive
 
 
 @dataclass
@@ -79,132 +87,139 @@ class LineSynchronizer:
         self.horizon = 2 * n + 4
         self.births: list[int | None] = [None] * n
         self.fasts: list[_Fast] = []
-        self.slow_at: dict[int, list[_Slow]] = {}
-        self.move_schedule: dict[int, list[_Slow]] = {}
+        # slow_at[cell]: the live slows that have moved and sit at cell.
+        self.slow_at: list[list[_Slow]] = [[] for _ in range(n)]
+        # move_schedule[t]: the slows due to move at t; a move due after
+        # horizon + 1 never happens, so it is not scheduled.
+        self.move_schedule: list[list[_Slow]] = [[] for _ in range(self.horizon + 2)]
         self.gen_count = 0
 
     # -- emissions ---------------------------------------------------------
 
     def _make_general(self, cell: int, t: int) -> None:
-        if self.births[cell] is not None:
+        births = self.births
+        if births[cell] is not None:
             return
-        self.births[cell] = t
+        births[cell] = t
         self.gen_count += 1
-        for s in self.slow_at.pop(cell, []):
-            s.alive = False  # slows arriving at a general are absorbed
+        absorbed = self.slow_at[cell]
+        if absorbed:
+            for s in absorbed:
+                s.alive = False  # slows arriving at a general are absorbed
+            self.slow_at[cell] = []
+        n = self.n
+        horizon = self.horizon
+        schedule = self.move_schedule
         for e in (-1, 1):
             nbr = cell + e
-            if not (0 <= nbr < self.n) or self.births[nbr] is not None:
+            if not (0 <= nbr < n) or births[nbr] is not None:
                 continue
             self.fasts.append(_Fast(cell, e, t))
             level = 2
-            while True:
-                dwell = (1 << level) - 1
-                if t + dwell > self.horizon:
-                    break
-                for off in (0, 1):
-                    first = t + off + dwell
-                    if first <= self.horizon:
-                        self.move_schedule.setdefault(first, []).append(_Slow(cell, e, level))
+            while (first := t + (1 << level) - 1) <= horizon:
+                schedule[first].append(_Slow(cell, e, level))
+                if first < horizon:  # its sibling starts one step later
+                    schedule[first + 1].append(_Slow(cell, e, level))
                 level += 1
 
     # -- stepping ----------------------------------------------------------
 
     def run(self) -> LineRun:
-        if self.n == 1:
+        n = self.n
+        if n == 1:
             # A lone general has nothing to synchronize with: 2n-2 = 0.
             self.births[0] = 0
             return LineRun([0], [0])
 
         self._make_general(0, 0)
         t = 0
-        while self.gen_count < self.n:
+        while self.gen_count < n:
             if t > self.horizon:
                 raise AssertionError("line synchronizer exceeded its horizon")
             self._step(t)
             t += 1
         births = [b for b in self.births if b is not None]
-        if len(births) != self.n:
-            raise AssertionError(f"{self.n - len(births)} cells never became generals")
-        fires = [
-            1 + max(births[j] for j in (i - 1, i, i + 1) if 0 <= j < self.n)
-            for i in range(self.n)
-        ]
+        if len(births) != n:
+            raise AssertionError(f"{n - len(births)} cells never became generals")
+        padded = [births[0], *births, births[-1]]
+        fires = [1 + max(a, b, c) for a, b, c in zip(padded, padded[1:], padded[2:])]
         return LineRun(births, fires)
 
     def _step(self, t: int) -> None:
-        arrived_f: dict[int, list[_Fast]] = {}
+        n = self.n
+        births = self.births
+        slow_at = self.slow_at
         new_gens: list[tuple[int, int]] = []  # (cell, cell of its cause at t)
 
         # Slow signals due to move at t+1.
-        for s in self.move_schedule.pop(t + 1, []):
-            if not s.alive:
-                continue
-            target = s.cell + s.dir
-            if s.moves:  # a live slow that has moved sits in its cell's bucket
-                self.slow_at[s.cell].remove(s)
-            if not (0 <= target < self.n):
-                s.alive = False
-                continue
-            if self.births[target] is not None:
-                s.alive = False  # absorbed by a general
-                continue
-            _check_caused(target, s.cell)
-            s.cell = target
-            s.moves += 1
-            self.slow_at.setdefault(target, []).append(s)
-            self.move_schedule.setdefault(t + (1 << s.level), []).append(s)
+        due = self.move_schedule[t + 1]
+        if due:
+            schedule = self.move_schedule
+            last = self.horizon + 1
+            for s in due:
+                if not s.alive:
+                    continue
+                cell = s.cell
+                target = cell + s.dir
+                if s.moves:  # a live slow that has moved sits in its cell's bucket
+                    slow_at[cell].remove(s)
+                if not (0 <= target < n) or births[target] is not None:
+                    s.alive = False  # off the line, or absorbed by a general
+                    continue
+                if not -1 <= target - cell <= 1:
+                    _check_caused(target, cell)
+                s.cell = target
+                s.moves += 1
+                slow_at[target].append(s)
+                nxt = t + (1 << s.level)
+                if nxt <= last:
+                    schedule[nxt].append(s)
 
-        # Fast signals move one cell.
+        # Fast signals move one cell; each arrival is tested for its events.
+        died = False
         for f in self.fasts:
-            if not f.alive:
+            cell = f.cell
+            d = f.dir
+            target = cell + d
+            if not (0 <= target < n) or births[target] is not None:
+                f.alive = False  # off the line, or absorbed by an established general
+                died = True
                 continue
-            target = f.cell + f.dir
-            if not (0 <= target < self.n):
-                f.alive = False
-                continue
-            if self.births[target] is not None:
-                f.alive = False  # absorbed by an established general
-                continue
-            _check_caused(target, f.cell)
+            if not -1 <= target - cell <= 1:
+                _check_caused(target, cell)
             f.cell = target
-            arrived_f.setdefault(target, []).append(f)
-
-        # General-creating events at t+1.
-        for target, fs in arrived_f.items():
-            for f in fs:
-                if not f.alive:
-                    continue
-                prev = target - f.dir
-                beyond = target + f.dir
-                if beyond < 0 or beyond >= self.n:
-                    # Closed end: the arrival cell becomes a general.
-                    new_gens.append((target, prev))
-                    f.alive = False
-                    continue
-                opposing = [
-                    s for s in self.slow_at.get(target, []) if s.dir == -f.dir and s.alive
-                ]
-                if opposing:
-                    parities = {(s.moves % 2) for s in opposing}
-                    if len(parities) > 1:
-                        raise AssertionError(
-                            f"co-located oncoming slows with mixed parity at {target}"
-                        )
-                    new_gens.append((target, prev))
-                    parity = ((t + 1 - f.birth) + parities.pop()) % 2
-                    if parity:
-                        new_gens.append((prev, prev))
-                    for s in opposing:
-                        s.alive = False
-                        self.slow_at[target].remove(s)
-                    f.alive = False
+            beyond = target + d
+            if beyond < 0 or beyond >= n:
+                # Closed end: the arrival cell becomes a general.
+                new_gens.append((target, cell))
+                f.alive = False
+                died = True
+                continue
+            here = slow_at[target]
+            if not here:
+                continue
+            opposing = [s for s in here if s.dir == -d]
+            if not opposing:
+                continue
+            parity = opposing[0].moves & 1
+            if any(s.moves & 1 != parity for s in opposing):
+                raise AssertionError(f"co-located oncoming slows with mixed parity at {target}")
+            new_gens.append((target, cell))
+            if (t + 1 - f.birth + parity) & 1:
+                new_gens.append((cell, cell))
+            for s in opposing:
+                s.alive = False
+                here.remove(s)
+            f.alive = False
+            died = True
 
         for cell, cause in new_gens:
-            _check_caused(cell, cause)
+            if not -1 <= cell - cause <= 1:
+                _check_caused(cell, cause)
             self._make_general(cell, t + 1)
 
-        self.fasts = [f for f in self.fasts if f.alive]
+        if died:
+            self.fasts = [f for f in self.fasts if f.alive]
 
 
 def run_line_fssp(n: int) -> int:

@@ -60,18 +60,20 @@ def _signature_census(n: int) -> int:
     """Distinct cell signatures over a run of the n-cell line, read after
     every step: whether the cell is a general, the directions of its fast
     signals, and the (level, direction, move parity) of its live slow
-    signals, moved or not (an unmoved slow sits at its general's cell)."""
+    signals, moved or not.  A moved slow sits in its cell's bucket; an
+    unmoved one is only in the time-indexed schedule, at its general's cell."""
     sync = LineSynchronizer(n)
     seen = set()
     step = sync._step
 
     def step_and_record(t):
         step(t)
-        slows = [s for due in sync.move_schedule.values() for s in due if s.alive]
+        slows = [s for bucket in sync.slow_at for s in bucket]
+        slows += [s for due in sync.move_schedule for s in due if s.alive and not s.moves]
         for cell in range(n):
             seen.add((
                 sync.births[cell] is not None,
-                frozenset(f.dir for f in sync.fasts if f.alive and f.cell == cell),
+                frozenset(f.dir for f in sync.fasts if f.cell == cell),
                 frozenset((s.level, s.dir, s.moves % 2) for s in slows if s.cell == cell),
             ))
 
@@ -93,10 +95,11 @@ class TestStateCensus:
 class TestCausalityCheck:
     @pytest.mark.parametrize("name", ["_Fast", "_Slow"])
     def test_nonlocal_move_raises(self, monkeypatch, name):
-        # every signal of this kind jumps two cells per move
+        # every signal of this kind jumps two cells per move; the first jump,
+        # 0 -> 2, is caught by the move's own check
         real = getattr(line, name)
         monkeypatch.setattr(line, name, lambda cell, dir, *rest: real(cell, 2 * dir, *rest))
-        with pytest.raises(AssertionError, match="outside its neighborhood"):
+        with pytest.raises(AssertionError, match="^state change at cell 2 caused from cell 0, outside"):
             LineSynchronizer(10).run()
 
     def test_nonlocal_general_raises(self):
@@ -105,19 +108,51 @@ class TestCausalityCheck:
         line._check_caused(5, 4)
 
     def test_raises_under_optimize(self):
-        code = (
-            "from fssp_holes.sim import line\n"
-            "real = line._Fast\n"
-            "line._Fast = lambda cell, dir, birth: real(cell, 2 * dir, birth)\n"
-            "try:\n"
-            "    line.LineSynchronizer(10).run()\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-        )
+        # both signal kinds, each doubled in direction as above
         src = str(Path(fssp_holes.__file__).parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", code],
-            capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised:") and "outside its neighborhood" in proc.stdout
+        for name, rest in (("_Fast", "birth"), ("_Slow", "level")):
+            code = (
+                "from fssp_holes.sim import line\n"
+                f"real = line.{name}\n"
+                f"line.{name} = lambda cell, dir, {rest}: real(cell, 2 * dir, {rest})\n"
+                "try:\n"
+                "    line.LineSynchronizer(10).run()\n"
+                "except AssertionError as exc:\n"
+                "    print('raised:', exc)\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", code],
+                capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.startswith(
+                "raised: state change at cell 2 caused from cell 0, outside"
+            ), name
+
+
+class TestRuntimeGuards:
+    # The guards are plain raises, not assert statements, so these also hold
+    # under python -O.  Each is forced on a 10-cell line.
+
+    def test_mixed_parity_oncoming_slows_raise(self):
+        # Two leftward slows of opposite move parity wait at cell 1; the
+        # general's first fast signal arrives there at t = 1.
+        sync = LineSynchronizer(10)
+        sync.slow_at[1] += [line._Slow(1, -1, 2, moves=1), line._Slow(1, -1, 2, moves=2)]
+        with pytest.raises(AssertionError, match="co-located oncoming slows with mixed parity at 1"):
+            sync.run()
+
+    def test_horizon_overrun_raises(self):
+        # The line needs 18 steps; a horizon of 5 ends the run first.
+        sync = LineSynchronizer(10)
+        sync.horizon = 5
+        with pytest.raises(AssertionError, match="line synchronizer exceeded its horizon"):
+            sync.run()
+
+    def test_missing_generals_raise(self):
+        # A general count that starts at 9 stops the run once the first
+        # general is made, with the other 9 cells not generals.
+        sync = LineSynchronizer(10)
+        sync.gen_count = 9
+        with pytest.raises(AssertionError, match="^9 cells never became generals$"):
+            sync.run()
