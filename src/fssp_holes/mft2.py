@@ -5,7 +5,10 @@ when one of three region conditions holds (no holes in U u V u W; a lone
 critical hole in W with U u V clean; a critical pair inside U u V u W), and
 2w otherwise.  A 2w+1 verdict carries a hole-relocation certificate chain;
 a 2w verdict carries a message plan built from the region case analysis,
-validated by the computational plan checks.
+validated by the computational plan checks.  The 2w plans are three rules:
+the U square, one band rule for V and W (the V plans are the W plans shrunk
+by one), and the U-V pair.  Of the distance bound's four exceptions, the
+third is the second mirrored.
 """
 
 from __future__ import annotations
@@ -170,11 +173,8 @@ def _witness_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePl
         # Holes meet U, none in V: check U u V, one message at the V corner.
         return _plan(cfg, _square(h + 1), [[Position(h, h)]])
 
-    if nU == 0 and nV == 0 and nW >= 1:
-        return _w_band_plan(cfg, regions)
-
-    if nU == 0 and nV >= 1:
-        return _v_band_plan(cfg, regions)
+    if nU == 0:
+        return _band_plan(cfg, regions, "V" if nV else "W")
 
     if nU == 1 and nV == 1:
         return _u_v_pair_plan(cfg, regions)
@@ -182,58 +182,35 @@ def _witness_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePl
     raise AssertionError(f"unhandled fast-case type {(nU, nV, nW, nX)}")
 
 
-def _w_band_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
-    """Both holes outside U u V, at least one in W."""
-    w = cfg.size
-    v_cnt = Position(w // 2, w // 2)
-    corner = v_cnt + (1, 1)
-    up, right = v_cnt + (0, 1), v_cnt + (1, 0)
-    uvw = _square(w // 2 + 2)  # with the band's outer corner
-    if cfg.holes == {up, right}:
-        # Both cells just outside the V corner are holes: one checking
-        # message cannot reach past them, so a second group pinning the two
-        # critical cells covers the far corner.
-        return _plan(
-            cfg,
-            uvw - {corner},
-            [[v_cnt], [v_cnt + (-1, 1), v_cnt + (1, -1)]],
-        )
-    # For odd w the W band owns its outer corner, which no U u V neighbor sees.
-    w_prime = [h for h, r in regions.items() if h != corner and r == "W"]
-    if w % 2 and corner in cfg.holes and all(map(is_critical, w_prime)):
+def _band_plan(cfg: Configuration, regions: dict[Position, str], band: str) -> MessagePlan:
+    """No holes in U, at least one in the band: V, or W when V is clean too.
+
+    The band is the L of cells with max(x, y) = c around its corner (c, c),
+    c = h for V and h + 1 for W, and the plan checks _square(c + 1), so the
+    V plans are the W plans shrunk by one.
+    """
+    c = cfg.size // 2 + (band == "W")
+    corner = Position(c, c)
+    inner, west, south = corner - (1, 1), corner - (1, 0), corner - (0, 1)
+    square = _square(c + 1)
+    if cfg.holes == {west, south}:
+        # Both cells just inside the corner are holes: one checking message
+        # cannot reach past them, so a second group pinning the two critical
+        # cells covers the far corner.
+        return _plan(cfg, square - {corner}, [[inner], [corner - (2, 0), corner - (0, 2)]])
+    rest = [p for p, r in regions.items() if p != corner and r == band]
+    # The W band owns its corner only for odd w; no U u V neighbor sees it.
+    if regions.get(corner) == band and all(map(is_critical, rest)):
         # Corner hole present, rest of the band clean or one critical hole:
-        # two alternative messages just past the V corner check it.
-        return _plan(cfg, uvw, [[up], [right]])
-    return _plan(cfg, uvw - {corner}, [[v_cnt]])
-
-
-def _v_band_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
-    """No holes in U, at least one in V: the shrunk mirror of the W-band cases."""
-    h = cfg.size // 2
-    v_cnt = Position(h, h)
-    down, left = v_cnt - (0, 1), v_cnt - (1, 0)
-    inner = v_cnt - (1, 1)
-    uv = _square(h + 1)
-    if cfg.holes == {down, left}:
-        return _plan(
-            cfg,
-            uv - {v_cnt},
-            [[inner], [v_cnt - (2, 0), v_cnt - (0, 2)]],
-        )
-    v_prime = [p for p, r in regions.items() if p != v_cnt and r == "V"]
-    crit_vp = [p for p in v_prime if is_critical(p)]
-    noncrit_vp = [p for p in v_prime if not is_critical(p)]
-    b2 = v_cnt in cfg.holes
-    if b2 and len(crit_vp) <= 1 and not noncrit_vp:
-        return _plan(cfg, uv, [[left], [down]])
-    if len(crit_vp) == 1 and not noncrit_vp and not b2:
-        # Unique critical hole in the band; its diagonal outward neighbor
-        # must be pinned a node or a completion could close a critical pair.
-        (v0,) = crit_vp
-        if v0.y == h:  # horizontal arm
-            return _plan(cfg, uv | {v0 + (1, 1)}, [[left]])
-        return _plan(cfg, uv | {v0 + (1, 1)}, [[down]])
-    return _plan(cfg, uv - {v_cnt}, [[inner]])
+        # two alternative messages beside the corner check it.
+        return _plan(cfg, square, [[west], [south]])
+    if len(rest) == 1 and is_critical(rest[0]):
+        # Unique critical hole in the band and the corner free (only V gets
+        # here: in W it is a 2w+1 case); its diagonal outward neighbor must
+        # be pinned a node or a completion could close a critical pair.
+        (v0,) = rest
+        return _plan(cfg, square | {v0 + (1, 1)}, [[west if v0.y == c else south]])
+    return _plan(cfg, square - {corner}, [[inner]])
 
 
 def _u_v_pair_plan(cfg: Configuration, regions: dict[Position, str]) -> MessagePlan:
@@ -281,18 +258,12 @@ def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, in
         Position(w, w),
     }:
         return "Exception1"
-    if (
-        v.x == h
-        and cfg.holes == {v - (1, 0), v + (0, 1)}
-        and v2 in ({Position(0, w - 1), Position(1, w), Position(0, w)} if even else {Position(0, w)})
-    ):
-        return "Exception2"
-    if (
-        v.y == h
-        and cfg.holes == {v - (0, 1), v + (1, 0)}
-        and v2 in ({Position(w - 1, 0), Position(w, 1), Position(w, 0)} if even else {Position(w, 0)})
-    ):
-        return "Exception3"
+    # Exception 3 is Exception 2 (v on the vertical arm of V) with x and y swapped.
+    far = {(0, w - 1), (1, w), (0, w)} if even else {(0, w)}
+    for name, t in (("Exception2", tuple), ("Exception3", lambda p: (p[1], p[0]))):
+        x, y = t(v)
+        if x == h and {t(p) for p in cfg.holes} == {(x - 1, y), (x, y + 1)} and t(v2) in far:
+            return name
     if (
         even
         and v == (h, h)

@@ -1,4 +1,7 @@
+import hashlib
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -18,7 +21,7 @@ from fssp_holes.mft2 import (
     thm_appendix_check,
     type_of,
 )
-from fssp_holes.sim.plan import MessagePlan, check_c_conditions, run_message_plan
+from fssp_holes.sim.plan import MessagePlan, check_c_conditions, plan_to_json, run_message_plan
 from fssp_holes.timebounds import certificate_search_report, max_t, verify_certificate
 
 from conftest import all_two_hole_configs, make_random_config, regions
@@ -245,6 +248,23 @@ def test_witness_plans_match_the_reflected_frame(w):
     assert corner_cases == (w // 2 - 1) ** 2  # every interior U cell
 
 
+@pytest.mark.parametrize(
+    "w,digest",
+    [
+        (11, "b3cde83bb62a7c50ced3aff34bc1e35a5746c8808d8fe858565a317eaf900d11"),
+        (12, "af5fbc10f70e05c76655efe4274b5367bbf85aa19eb687fc7bb587d5d3111f4f"),
+    ],
+)
+def test_every_witness_plan_pinned(w, digest):
+    """One sha256 over the JSON of every 2w configuration's witness plan, in
+    all_two_hole_configs order: the plans' bytes, group and site order too."""
+    h = hashlib.sha256()
+    for cfg in all_two_hole_configs(w):
+        if not mft2.is_slow_case(cfg):
+            h.update((plan_to_json(build_witness_plan(cfg)) + "\n").encode())
+    assert h.hexdigest() == digest
+
+
 class TestAppendixPredicate:
     def test_holds_hole_free_like(self):
         cfg = validate(12, [(1, 1), (8, 8)])
@@ -262,6 +282,34 @@ class TestAppendixPredicate:
     def test_exception3_mirror(self):
         cfg = validate(12, [(3, 5), (4, 6)])
         assert thm_appendix_check(cfg, (3, 6), (12, 0)) == "Exception3"
+
+    def test_arm_exceptions_mirror(self):
+        """Exception 3 is Exception 2 transposed, over every v in U u V with
+        two orthogonal neighbors as holes and every node v', w = 5..12; the
+        per-name counts are pinned."""
+        swap = {"Exception2": "Exception3", "Exception3": "Exception2"}
+        census = Counter()
+        for w in range(5, 13):
+            for v in product(range(w // 2 + 1), repeat=2):
+                v = Position(*v)
+                beside = [v + (0, 1), v + (1, 0), v - (0, 1), v - (1, 0)]
+                for a, b in zip(beside, beside[1:] + beside[:1]):
+                    try:
+                        cfg = validate(w, [a, b])
+                    except FsspError:
+                        continue
+                    flipped = validate(w, [(b.y, b.x), (a.y, a.x)])
+                    for v2 in cfg.nodes():
+                        name = thm_appendix_check(cfg, v, v2)
+                        census[name] += 1
+                        assert thm_appendix_check(flipped, v[::-1], v2[::-1]) == swap.get(name, name)
+        assert census == {
+            "Holds": 52484,
+            "Exception1": 420,
+            "Exception2": 68,
+            "Exception3": 68,
+            "Exception4": 12,
+        }
 
     def test_exception4_center(self):
         vc = regions(12).v_cnt
