@@ -3,7 +3,7 @@
 Library layout mirrors the problem's structure:
 
 * grid       -- positions, configurations, distances, patterns
-* barriers   -- maximal barriers and corner access
+* barriers   -- the barrier predicate and maximal barriers
 * shapes     -- barrier-shape space and the worst-case excess constants c_k
 * timebounds -- through-corner lower bounds and relocation certificates
 * sim        -- line/square synchronizers and the message-plan simulator
@@ -22,11 +22,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "grid": "Configuration Pattern Position bfs_distance boundary_condition"
     " has_pattern mh_distance pattern_of validate",
-    "barriers": "Rect corner_mh_access is_barrier maximal_barriers",
+    "barriers": "Rect is_barrier maximal_barriers",
     "shapes": "BarrierShape ShapeEval ck_bounds compute_ck d0_d1 e_of enumerate_shapes evaluate h_kw",
     "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair max_t"
-    " pattern_move_equiv t_formula t_of verify_certificate",
-    "mft2": "MftVerdict build_witness_plan classify region_of thm_appendix_check type_of",
+    " pattern_move_equiv t_of verify_certificate",
+    "mft2": "MftVerdict build_witness_plan classify region_of type_of",
     "sim.line": "run_line_fssp",
     "sim.plan": "MessagePlan check_c_conditions run_message_plan",
     "sim.sh1": "run_sh1",

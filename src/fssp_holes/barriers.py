@@ -12,8 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotANodeError
-from .grid import Configuration, Position, bfs_distance, mh_distance
+from .grid import Configuration, Position
 
 
 @dataclass(frozen=True, order=True)
@@ -102,21 +101,3 @@ def maximal_barriers(cfg: Configuration) -> frozenset[Rect]:
             done.append(r)
     return frozenset(done)
 
-
-def barrier_containing(cfg: Configuration, p: tuple[int, int]) -> Rect | None:
-    """The maximal barrier containing position p, or None."""
-    for r in maximal_barriers(cfg):
-        if r.contains(p):
-            return r
-    return None
-
-
-def corner_mh_access(cfg: Configuration, corner: tuple[int, int], v: tuple[int, int]) -> bool:
-    """True iff v is reachable from the given corner at Manhattan distance.
-
-    Guaranteed true whenever v lies in no maximal barrier.
-    """
-    w = cfg.size
-    if tuple(corner) not in {(0, 0), (0, w), (w, 0), (w, w)}:
-        raise NotANodeError(f"{tuple(corner)} is not a corner of the {w}-square")
-    return bfs_distance(cfg, corner, v) == mh_distance(corner, v)

@@ -183,12 +183,13 @@ def _cmd_tvc(args) -> int:
     from . import timebounds as tb
 
     cfg = load_config_file(args.config)
+    t = tb.t_field(cfg)
     if args.json:
-        grid = square_rows(cfg, lambda v: tb.t_of(cfg, v), hole=None)
+        grid = square_rows(cfg, lambda v: t[cfg.index(v)], hole=None)
         _emit({"size": cfg.size, "max_t": tb.max_t(cfg), "t_grid_rows_north_to_south": grid})
     else:
         print(f"max_t {tb.max_t(cfg)}")
-        for row in square_rows(cfg, lambda v: f"{tb.t_of(cfg, v):>3}", hole="  #"):
+        for row in square_rows(cfg, lambda v: f"{t[cfg.index(v)]:>3}", hole="  #"):
             print(" ".join(row))
     return EXIT_OK
 

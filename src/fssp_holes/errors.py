@@ -72,10 +72,6 @@ class SizeTooLargeError(FsspError, ValueError):
     code = "SizeTooLarge"
 
 
-class NotInBarrierError(FsspError, ValueError):
-    code = "NotInBarrier"
-
-
 class UnreachableError(FsspError, ValueError):
     code = "Unreachable"
 
@@ -91,9 +87,3 @@ class NotUpperBoundCaseError(FsspError, ValueError):
 class PreconditionViolatedError(FsspError, ValueError):
     code = "PreconditionViolated"
 
-
-class BoundViolatedError(FsspError):
-    """A distance-bound violation that matches none of the four exception
-    geometries: a counterexample to the appendix theorem, not bad input."""
-
-    code = "BoundViolated"

@@ -7,8 +7,7 @@ critical hole in W with U u V clean; a critical pair inside U u V u W), and
 a 2w verdict carries a message plan built from the region case analysis,
 validated by the computational plan checks.  The 2w plans are three rules:
 the U square, one band rule for V and W (the V plans are the W plans shrunk
-by one), and the U-V pair.  Of the distance bound's four exceptions, the
-third is the second mirrored.
+by one), and the U-V pair.
 """
 
 from __future__ import annotations
@@ -16,21 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BoundViolatedError,
     NotUpperBoundCaseError,
     OutOfSquareError,
-    PreconditionViolatedError,
     SizeTooSmallError,
     WrongHoleCountError,
 )
-from .grid import (
-    V_GEN,
-    Configuration,
-    Position,
-    bfs_distance,
-    mh_distance,
-    pattern_of,
-)
+from .grid import Configuration, Position, pattern_of
 from .sim.plan import MessagePlan, PlanCheckReport, check_c_conditions
 from .timebounds import (
     CertificateChain,
@@ -228,49 +218,3 @@ def _u_v_pair_plan(cfg: Configuration, regions: dict[Position, str]) -> MessageP
         return _plan(cfg, uv, [[v0 + along], [v1 - along]])
     return _plan(cfg, uv, [[v0 - along[::-1], v1 - along]])
 
-
-# ---------------------------------------------------------------------------
-# Distance-bound predicate with the four exception geometries
-
-HOLDS = "Holds"
-
-
-def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, int]) -> str:
-    """Check mh(gen, v) + d_C(v, v') <= 2w for v in U u V, else name the exception.
-
-    Every violation matches exactly one of the four listed hole/corner
-    geometries; a violation matching none would falsify the distance bound
-    and raises BoundViolatedError.
-    """
-    w = cfg.size
-    if w < 5 or cfg.k != 2:
-        raise PreconditionViolatedError("needs w >= 5 and exactly 2 holes")
-    v, v2 = Position(*v), Position(*v2)
-    if not cfg.is_node(v) or not cfg.is_node(v2) or region_of(w, v) not in ("U", "V"):
-        raise PreconditionViolatedError("v must be a U u V node and v' a node")
-    if mh_distance(V_GEN, v) + bfs_distance(cfg, v, v2) <= 2 * w:
-        return HOLDS
-    h = w // 2
-    even = w % 2 == 0
-    if cfg.holes == {v + (0, 1), v + (1, 0)} and v2 in {
-        Position(w - 1, w),
-        Position(w, w - 1),
-        Position(w, w),
-    }:
-        return "Exception1"
-    # Exception 3 is Exception 2 (v on the vertical arm of V) with x and y swapped.
-    far = {(0, w - 1), (1, w), (0, w)} if even else {(0, w)}
-    for name, t in (("Exception2", tuple), ("Exception3", lambda p: (p[1], p[0]))):
-        x, y = t(v)
-        if x == h and {t(p) for p in cfg.holes} == {(x - 1, y), (x, y + 1)} and t(v2) in far:
-            return name
-    if (
-        even
-        and v == (h, h)
-        and cfg.holes == {v - (0, 1), v - (1, 0)}
-        and v2 in {Position(1, 0), Position(0, 1), Position(0, 0)}
-    ):
-        return "Exception4"
-    raise BoundViolatedError(
-        f"distance bound violated outside the four exceptions: v={tuple(v)}, v'={tuple(v2)}, {cfg}"
-    )

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
-from typing import TYPE_CHECKING
 
 from .errors import (
     NotANodeError,
-    NotInBarrierError,
     SizeMismatchError,
     ValidationError,
     WrongHoleCountError,
@@ -26,16 +24,13 @@ from .grid import (
     Configuration,
     Position,
     bfs_distance,
+    distance_grid,
     free_mask,
     node_bit,
     radius,
     validate,
     walk_mask,
 )
-
-if TYPE_CHECKING:
-    from .barriers import Rect
-    from .shapes import BarrierShape
 
 HALF_PLANES = ("H0", "H1", "H2")
 
@@ -68,6 +63,15 @@ def t_of(cfg: Configuration, v: tuple[int, int]) -> int:
     return w + min(bfs_distance(cfg, (0, w), v), bfs_distance(cfg, (w, 0), v))
 
 
+def t_field(cfg: Configuration) -> list[int]:
+    """T(v, C) of every node v, indexed by cfg.index(v): t_of with each far
+    corner's field read once, not once per node.  Holes and guard bits read
+    w - 1."""
+    w = cfg.size
+    fields = distance_grid(cfg, Position(0, w)), distance_grid(cfg, Position(w, 0))
+    return [w + min(a, b) for a, b in zip(*fields)]
+
+
 def max_t(cfg: Configuration) -> int:
     """max_v T(v, C); always at least 2w.
 
@@ -79,35 +83,6 @@ def max_t(cfg: Configuration) -> int:
     s = w + 2
     corners = node_bit(cfg, (0, w), s) | node_bit(cfg, (w, 0), s)
     return w + radius(free_mask(cfg), s, corners)
-
-
-def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
-    """Closed-form T(v, C) for a node inside a maximal barrier.
-
-    2w + e_of(shape, p, delta), with the shape, the node's offset p and
-    delta = x0 - y0 read off the containing maximal barrier; equals t_of by
-    the barrier formula.
-    """
-    # barriers and shapes load on the first call: no other function here uses them.
-    from .barriers import barrier_containing
-    from .shapes import e_of
-
-    v = Position(*v)
-    rect = barrier_containing(cfg, v)
-    if rect is None or v in cfg.holes:
-        raise NotInBarrierError(f"{tuple(v)} lies in no maximal barrier")
-    p = v - Position(rect.x0, rect.y0)
-    return 2 * cfg.size + e_of(shape_of_barrier(cfg, rect), p, rect.x0 - rect.y0)
-
-
-def shape_of_barrier(cfg: Configuration, rect: Rect) -> BarrierShape:
-    """The barrier shape obtained by translating rect's holes to the origin."""
-    from .shapes import BarrierShape
-
-    holes = frozenset(
-        Position(h.x - rect.x0, h.y - rect.y0) for h in cfg.holes if rect.contains(h)
-    )
-    return BarrierShape(rect.width, rect.height, holes)
 
 
 def is_critical(p: tuple[int, int]) -> bool:

@@ -7,8 +7,11 @@ from functools import lru_cache
 
 import pytest
 
-from fssp_holes.barriers import Rect, is_barrier
-from fssp_holes.grid import Configuration, Position, validate
+from fssp_holes.barriers import Rect, is_barrier, maximal_barriers
+from fssp_holes.errors import FsspError, NotANodeError, PreconditionViolatedError
+from fssp_holes.grid import V_GEN, Configuration, Position, bfs_distance, mh_distance, validate
+from fssp_holes.mft2 import region_of
+from fssp_holes.shapes import BarrierShape, e_of
 
 
 def make_random_config(rng: random.Random, w: int, k: int) -> Configuration:
@@ -95,6 +98,111 @@ def maximal_barriers_bruteforce(cfg: Configuration) -> frozenset[Rect]:
         )
     ]
     return frozenset(maximal)
+
+
+# ---------------------------------------------------------------------------
+# The paper's theorem checks: lemmas behind the library's answers that no
+# library path runs, so they live with the tests that check them against the
+# library's distance fields.  Corner Manhattan access outside the maximal
+# barriers, the in-barrier closed form of T(v, C) against t_of, and the
+# appendix distance bound with its four exception geometries.
+
+
+class NotInBarrierError(FsspError, ValueError):
+    code = "NotInBarrier"
+
+
+class BoundViolatedError(FsspError):
+    """A distance-bound violation that matches none of the four exception
+    geometries: a counterexample to the appendix theorem, not bad input."""
+
+    code = "BoundViolated"
+
+
+def barrier_containing(cfg: Configuration, p: tuple[int, int]) -> Rect | None:
+    """The maximal barrier containing position p, or None."""
+    for r in maximal_barriers(cfg):
+        if r.contains(p):
+            return r
+    return None
+
+
+def corner_mh_access(cfg: Configuration, corner: tuple[int, int], v: tuple[int, int]) -> bool:
+    """True iff v is reachable from the given corner at Manhattan distance.
+
+    Guaranteed true whenever v lies in no maximal barrier.
+    """
+    w = cfg.size
+    if tuple(corner) not in {(0, 0), (0, w), (w, 0), (w, w)}:
+        raise NotANodeError(f"{tuple(corner)} is not a corner of the {w}-square")
+    return bfs_distance(cfg, corner, v) == mh_distance(corner, v)
+
+
+def t_formula(cfg: Configuration, v: tuple[int, int]) -> int:
+    """Closed-form T(v, C) for a node inside a maximal barrier.
+
+    2w + e_of(shape, p, delta), with the shape, the node's offset p and
+    delta = x0 - y0 read off the containing maximal barrier; equals t_of by
+    the barrier formula.
+    """
+    v = Position(*v)
+    rect = barrier_containing(cfg, v)
+    if rect is None or v in cfg.holes:
+        raise NotInBarrierError(f"{tuple(v)} lies in no maximal barrier")
+    p = v - Position(rect.x0, rect.y0)
+    return 2 * cfg.size + e_of(shape_of_barrier(cfg, rect), p, rect.x0 - rect.y0)
+
+
+def shape_of_barrier(cfg: Configuration, rect: Rect) -> BarrierShape:
+    """The barrier shape obtained by translating rect's holes to the origin."""
+    holes = frozenset(
+        Position(h.x - rect.x0, h.y - rect.y0) for h in cfg.holes if rect.contains(h)
+    )
+    return BarrierShape(rect.width, rect.height, holes)
+
+
+HOLDS = "Holds"
+
+
+def thm_appendix_check(cfg: Configuration, v: tuple[int, int], v2: tuple[int, int]) -> str:
+    """Check mh(gen, v) + d_C(v, v') <= 2w for v in U u V, else name the exception.
+
+    Every violation matches exactly one of the four listed hole/corner
+    geometries; a violation matching none would falsify the distance bound
+    and raises BoundViolatedError.
+    """
+    w = cfg.size
+    if w < 5 or cfg.k != 2:
+        raise PreconditionViolatedError("needs w >= 5 and exactly 2 holes")
+    v, v2 = Position(*v), Position(*v2)
+    if not cfg.is_node(v) or not cfg.is_node(v2) or region_of(w, v) not in ("U", "V"):
+        raise PreconditionViolatedError("v must be a U u V node and v' a node")
+    if mh_distance(V_GEN, v) + bfs_distance(cfg, v, v2) <= 2 * w:
+        return HOLDS
+    h = w // 2
+    even = w % 2 == 0
+    if cfg.holes == {v + (0, 1), v + (1, 0)} and v2 in {
+        Position(w - 1, w),
+        Position(w, w - 1),
+        Position(w, w),
+    }:
+        return "Exception1"
+    # Exception 3 is Exception 2 (v on the vertical arm of V) with x and y swapped.
+    far = {(0, w - 1), (1, w), (0, w)} if even else {(0, w)}
+    for name, t in (("Exception2", tuple), ("Exception3", lambda p: (p[1], p[0]))):
+        x, y = t(v)
+        if x == h and {t(p) for p in cfg.holes} == {(x - 1, y), (x, y + 1)} and t(v2) in far:
+            return name
+    if (
+        even
+        and v == (h, h)
+        and cfg.holes == {v - (0, 1), v - (1, 0)}
+        and v2 in {Position(1, 0), Position(0, 1), Position(0, 0)}
+    ):
+        return "Exception4"
+    raise BoundViolatedError(
+        f"distance bound violated outside the four exceptions: v={tuple(v)}, v'={tuple(v2)}, {cfg}"
+    )
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from fssp_holes.barriers import Rect, maximal_barriers
-from fssp_holes.errors import BoundViolatedError
 from fssp_holes.grid import (
     Position,
     ball,
@@ -24,7 +23,7 @@ from fssp_holes.grid import (
     node_bit,
     validate,
 )
-from fssp_holes.mft2 import classify, thm_appendix_check
+from fssp_holes.mft2 import classify
 from fssp_holes.shapes import REFERENCE_CK_TABLE, ck_bounds, compute_ck
 from fssp_holes.sim.line import run_line_fssp
 from fssp_holes.sim.plan import run_message_plan, worked_instance_plan
@@ -33,12 +32,18 @@ from fssp_holes.timebounds import (
     equiv_prime,
     has_critical_pair,
     max_t,
-    t_formula,
     t_of,
     verify_certificate,
 )
 
-from conftest import make_random_config, maximal_barriers_bruteforce, regions
+from conftest import (
+    BoundViolatedError,
+    make_random_config,
+    maximal_barriers_bruteforce,
+    regions,
+    t_formula,
+    thm_appendix_check,
+)
 
 pytestmark = pytest.mark.acceptance
 

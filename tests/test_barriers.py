@@ -4,13 +4,12 @@ import pytest
 
 from fssp_holes.barriers import (
     Rect,
-    corner_mh_access,
     is_barrier,
     maximal_barriers,
 )
 from fssp_holes.grid import Position, mh_distance, bfs_distance, validate
 
-from conftest import make_random_config, maximal_barriers_bruteforce
+from conftest import corner_mh_access, make_random_config, maximal_barriers_bruteforce
 
 
 class TestIsBarrier:

@@ -6,7 +6,7 @@ and the layer engine (layers, ball, radius, walk_mask, and max_t on it)
 answers threshold questions with big ints.  Each is compared here with an
 independent breadth-first search over explicit cell sets, d0_d1 also with
 conftest.cell_bfs fields on every shape of at most 5 holes, and
-Configuration.index, distance_grid, t_of and max_t with each other.  The
+Configuration.index, distance_grid, t_of, t_field and max_t with each other.  The
 engine's searches finish on a _bfs field past a layer cap; the tests
 shrink the cap to run that path on small squares.
 """
@@ -37,7 +37,7 @@ from fssp_holes.grid import (
     walk_mask,
 )
 from fssp_holes.shapes import d0_d1, enumerate_shapes
-from fssp_holes.timebounds import max_t, t_of
+from fssp_holes.timebounds import max_t, t_field, t_of
 
 from conftest import cell_bfs, serpentine_maze
 
@@ -273,8 +273,8 @@ def test_maze_searches_stop_at_the_layer_cap():
 
 
 def check_one_encoding(cfg, sources):
-    """Configuration.index, distance_grid, t_of and max_t agree with the
-    free mask, its layers and the three-field T(v, C) they replaced."""
+    """Configuration.index, distance_grid, t_of, t_field and max_t agree
+    with the free mask, its layers and the three-field T(v, C) they replaced."""
     w, s = cfg.size, cfg.size + 2
     free = free_mask(cfg)
     assert [cfg.index(p) for p in cfg.nodes()] == [
@@ -296,6 +296,8 @@ def check_one_encoding(cfg, sources):
         )
         for v in nodes
     ]
+    field = t_field(cfg)
+    assert [field[cfg.index(v)] for v in nodes] == ts
     assert max_t(cfg) == max(ts)
 
 

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from fssp_holes.cli import main
-from fssp_holes.grid import dump_ascii, dump_json, validate
+from fssp_holes.grid import distance_grid, dump_ascii, dump_json, square_rows, validate
 from fssp_holes.mft2 import build_witness_plan
 from fssp_holes.shapes import HARD_MAX_K
 from fssp_holes.sim.plan import plan_to_json, worked_instance_plan
+from fssp_holes.timebounds import max_t, t_of
+
+from conftest import serpentine_maze
 
 
 @pytest.fixture
@@ -270,6 +273,34 @@ class TestOtherCommands:
         path = cfg_file("a.json", validate(12, [(6, 4), (7, 5)]))
         code, out = run_cli(capsys, "tvc", path, "--json")
         assert json.loads(out)["max_t"] == 25
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [validate(5, []), validate(12, [(6, 4), (7, 5)]), serpentine_maze(40)],
+        ids=["w5-empty", "w12-pair", "w40-maze"],
+    )
+    def test_tvc_reads_two_distance_fields(self, cfg_file, capsys, cfg):
+        """One tvc call looks up the two far-corner fields once each,
+        whatever the node count: no cache lookup per node."""
+        path = cfg_file("a.json", cfg)
+        before = distance_grid.cache_info()
+        assert main(["tvc", path]) == 0
+        after = distance_grid.cache_info()
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 2
+
+    def test_tvc_text_then_json_in_one_process(self, cfg_file, capsys):
+        """The second call loads an equal configuration whose fields are
+        cached; both print t_of at every node and max_t."""
+        cfg = serpentine_maze(30)
+        path = cfg_file("maze.json", cfg)
+        assert main(["tvc", path]) == 0
+        text = capsys.readouterr().out
+        assert main(["tvc", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = square_rows(cfg, lambda v: t_of(cfg, v), hole=None)
+        assert report == {"size": 30, "max_t": max_t(cfg), "t_grid_rows_north_to_south": rows}
+        pictured = [" ".join("  #" if t is None else f"{t:>3}" for t in row) for row in rows]
+        assert text == "\n".join([f"max_t {max_t(cfg)}", *pictured]) + "\n"
 
     def test_repro_tables(self, capsys):
         code, out = run_cli(capsys, "repro-tables", "--ks", "2,3", "--json")

@@ -131,18 +131,19 @@ def test_tvc_prints_as_before(fresh):
     run = fresh("tvc", "@plan2w")
     digest = hashlib.sha256(f"{run['rc']}\n{run['out']}".encode()).hexdigest()
     assert digest == "db2b1f75c5c468b95915fdd4a4ade977702ecbb12732a5ff8f865d0e32fa9cc8"
+    assert {"fssp_holes.barriers", "fssp_holes.shapes"}.isdisjoint(run["added"])
 
 
 #: The package's public names, by the module that defines them.
 PUBLIC = {
     "grid": "Configuration Pattern Position bfs_distance boundary_condition "
             "has_pattern mh_distance pattern_of validate",
-    "barriers": "Rect corner_mh_access is_barrier maximal_barriers",
+    "barriers": "Rect is_barrier maximal_barriers",
     "shapes": "BarrierShape ShapeEval ck_bounds compute_ck d0_d1 e_of enumerate_shapes "
               "evaluate h_kw",
     "timebounds": "CertificateChain critical_holes equiv_prime has_critical_pair max_t "
-                  "pattern_move_equiv t_formula t_of verify_certificate",
-    "mft2": "MftVerdict build_witness_plan classify region_of thm_appendix_check type_of",
+                  "pattern_move_equiv t_of verify_certificate",
+    "mft2": "MftVerdict build_witness_plan classify region_of type_of",
     "sim.line": "run_line_fssp",
     "sim.plan": "MessagePlan check_c_conditions run_message_plan",
     "sim.sh1": "run_sh1",

@@ -7,7 +7,6 @@ import pytest
 
 from fssp_holes import mft2
 from fssp_holes.errors import (
-    BoundViolatedError,
     FsspError,
     NotUpperBoundCaseError,
     PreconditionViolatedError,
@@ -18,13 +17,19 @@ from fssp_holes.grid import Pattern, Position, validate
 from fssp_holes.mft2 import (
     build_witness_plan,
     classify,
-    thm_appendix_check,
     type_of,
 )
 from fssp_holes.sim.plan import MessagePlan, check_c_conditions, plan_to_json, run_message_plan
 from fssp_holes.timebounds import certificate_search_report, max_t, verify_certificate
 
-from conftest import all_two_hole_configs, make_random_config, regions
+import conftest
+from conftest import (
+    BoundViolatedError,
+    all_two_hole_configs,
+    make_random_config,
+    regions,
+    thm_appendix_check,
+)
 
 
 class TestTypeOf:
@@ -328,7 +333,7 @@ class TestAppendixPredicate:
     def test_unmatched_violation_raises_a_package_error(self, monkeypatch):
         # No configuration violates the bound outside the four exceptions
         # (criterion 10), so stretch the distance to reach the raise.
-        monkeypatch.setattr(mft2, "bfs_distance", lambda cfg, a, b: 3 * cfg.size)
+        monkeypatch.setattr(conftest, "bfs_distance", lambda cfg, a, b: 3 * cfg.size)
         with pytest.raises(BoundViolatedError) as info:
             thm_appendix_check(validate(12, [(1, 1), (8, 8)]), (3, 3), (12, 0))
         assert isinstance(info.value, FsspError) and info.value.code == "BoundViolated"

@@ -3,7 +3,7 @@ import hashlib
 
 import pytest
 
-from fssp_holes.errors import NotInBarrierError, SizeMismatchError
+from fssp_holes.errors import SizeMismatchError
 from fssp_holes.grid import Position, bfs_distance, distance_grid, validate
 from fssp_holes.timebounds import (
     CertificateChain,
@@ -14,12 +14,17 @@ from fssp_holes.timebounds import (
     has_critical_pair,
     max_t,
     pattern_move_equiv,
-    t_formula,
     t_of,
     verify_certificate,
 )
 
-from conftest import all_two_hole_configs, make_random_config, regions
+from conftest import (
+    NotInBarrierError,
+    all_two_hole_configs,
+    make_random_config,
+    regions,
+    t_formula,
+)
 
 
 class TestTOf:
