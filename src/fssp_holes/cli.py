@@ -15,6 +15,7 @@ import time
 from dataclasses import asdict, dataclass
 
 # Each handler imports the modules it runs, so a process loads only those.
+from . import __version__
 from .errors import BudgetExceededError, FsspError, ParseError, SizeTooLargeError
 from .grid import MAX_SIZE, Position, load_config_file, square_rows
 
@@ -31,6 +32,7 @@ class RunReport:
     inputs_digest: str
     results: dict
     elapsed_s: float = 0.0
+    version: str = __version__
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -271,7 +273,7 @@ def repro_tables(ks, jobs: int = 1) -> RunReport:
 
     for k in ks:  # every row's k, before any row's scan
         shapes._check_k(k, 2)
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = []
     for k in ks:
         result = shapes.compute_ck(k, jobs=jobs)
@@ -291,7 +293,7 @@ def repro_tables(ks, jobs: int = 1) -> RunReport:
         command=["repro-tables", *map(str, ks)],
         inputs_digest=inputs_digest({"ks": list(ks)}),
         results={"rows": rows},
-        elapsed_s=round(time.time() - t0, 3),
+        elapsed_s=round(time.perf_counter() - t0, 3),
     )
 
 

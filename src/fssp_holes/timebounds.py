@@ -193,8 +193,8 @@ def _closing_move(w: int, state) -> ChainStep | None:
 
     The kept hole must be critical and the other one moves onto an interior
     diagonal neighbor g of it that shares an outside set with the moved
-    hole.  The state itself is never a goal (goals end the search one level
-    earlier), so g is never the moved hole.
+    hole.  The state itself is never a goal (the search stops at the state
+    before it), so g is never the moved hole.
     """
     for stay, moved in (state, state[::-1]):
         if is_critical(stay):
@@ -215,10 +215,9 @@ def certificate_search_report(
 
     The reason is "immediate" (cfg has a critical pair, empty chain),
     "found" or "exhausted" (no chain: every state reachable from cfg was
-    searched).  A forward breadth-first search from cfg: each level is
-    first tested for a one-move finish, and only then expanded, so the
-    chain is a shortest one.  The states reachable from cfg are finite,
-    so the search always ends.
+    searched).  Breadth-first from cfg: each state is tested for a
+    one-move finish as it is made, in level order, so the first hit ends
+    a shortest chain.  The reachable states are finite, so it always ends.
 
     A move relocates a hole outside one of H0/H1/H2 to any other interior
     cell outside the same set.  All states {stay, x} with x outside a set
@@ -234,33 +233,32 @@ def certificate_search_report(
     parent: dict = {start: None}  # state -> (previous state, *step into it)
     outside: dict = {}  # set name -> _outside_cells(w, name), built on first use
     expanded: set = set()  # (kept hole, set name) whose moves are queued
-    level = [start]
-    while level:
-        for state in level:
-            last = _closing_move(w, state)
-            if last is not None:
-                steps = [last]
-                while parent[state] is not None:
-                    state, name, moved, target = parent[state]
-                    steps.append(ChainStep(name, Position(*moved), Position(*target)))
-                return CertificateChain(cfg, tuple(reversed(steps))), "found"
-        nxt = []
-        for state in level:
-            for moved, stay in (state, state[::-1]):
-                for name in planes_outside(w, moved):
-                    if (stay, name) in expanded:
+    last = _closing_move(w, start)
+    if last is not None:
+        return CertificateChain(cfg, (last,)), "found"
+    queue = [start]
+    for state in queue:  # FIFO: the loop reaches the states appended to queue
+        for moved, stay in (state, state[::-1]):
+            for name in planes_outside(w, moved):
+                if (stay, name) in expanded:
+                    continue
+                expanded.add((stay, name))
+                if name not in outside:
+                    outside[name] = _outside_cells(w, name)
+                for target in outside[name]:
+                    if target == stay:
                         continue
-                    expanded.add((stay, name))
-                    if name not in outside:
-                        outside[name] = _outside_cells(w, name)
-                    for target in outside[name]:
-                        if target == stay:
-                            continue
-                        new = (stay, target) if stay < target else (target, stay)
-                        if new not in parent:
-                            parent[new] = (state, name, moved, target)
-                            nxt.append(new)
-        level = nxt
+                    new = (stay, target) if stay < target else (target, stay)
+                    if new not in parent:
+                        parent[new] = (state, name, moved, target)
+                        last = _closing_move(w, new)
+                        if last is not None:
+                            steps = [last]
+                            while new != start:
+                                new, name, moved, target = parent[new]
+                                steps.append(ChainStep(name, Position(*moved), Position(*target)))
+                            return CertificateChain(cfg, tuple(reversed(steps))), "found"
+                        queue.append(new)
     return None, "exhausted"
 
 

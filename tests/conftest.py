@@ -8,10 +8,23 @@ from functools import lru_cache
 import pytest
 
 from fssp_holes.barriers import Rect, is_barrier, maximal_barriers
-from fssp_holes.errors import FsspError, NotANodeError, PreconditionViolatedError
+from fssp_holes.errors import (
+    FsspError,
+    NotANodeError,
+    PreconditionViolatedError,
+    WrongHoleCountError,
+)
 from fssp_holes.grid import V_GEN, Configuration, Position, bfs_distance, mh_distance, validate
 from fssp_holes.mft2 import region_of
 from fssp_holes.shapes import BarrierShape, e_of
+from fssp_holes.timebounds import (
+    CertificateChain,
+    ChainStep,
+    _closing_move,
+    _outside_cells,
+    has_critical_pair,
+    planes_outside,
+)
 
 
 def make_random_config(rng: random.Random, w: int, k: int) -> Configuration:
@@ -274,6 +287,65 @@ def serpentine_maze(w: int) -> Configuration:
     return validate(
         w, [(x, y) for x in range(1, w) for y in range(1, w) if (x, y) not in corridor]
     )
+
+
+def two_pass_certificate_search(
+    cfg: Configuration,
+) -> tuple[CertificateChain | None, str]:
+    """Oracle for certificate_search_report: the same search, with each
+    level tested in one pass and expanded in a second.
+
+    Shortest relocation chain and how the search ended.
+
+    The reason is "immediate" (cfg has a critical pair, empty chain),
+    "found" or "exhausted" (no chain: every state reachable from cfg was
+    searched).  A forward breadth-first search from cfg: each level is
+    first tested for a one-move finish, and only then expanded, so the
+    chain is a shortest one.  The states reachable from cfg are finite,
+    so the search always ends.
+
+    A move relocates a hole outside one of H0/H1/H2 to any other interior
+    cell outside the same set.  All states {stay, x} with x outside a set
+    share their moves into that set, so each (kept hole, set) is expanded
+    once.
+    """
+    if cfg.k != 2:
+        raise WrongHoleCountError(f"certificate search needs exactly 2 holes, got {cfg.k}")
+    if has_critical_pair(cfg):
+        return CertificateChain(cfg, ()), "immediate"
+    w = cfg.size
+    start = tuple(sorted(map(tuple, cfg.holes)))
+    parent: dict = {start: None}  # state -> (previous state, *step into it)
+    outside: dict = {}  # set name -> _outside_cells(w, name), built on first use
+    expanded: set = set()  # (kept hole, set name) whose moves are queued
+    level = [start]
+    while level:
+        for state in level:
+            last = _closing_move(w, state)
+            if last is not None:
+                steps = [last]
+                while parent[state] is not None:
+                    state, name, moved, target = parent[state]
+                    steps.append(ChainStep(name, Position(*moved), Position(*target)))
+                return CertificateChain(cfg, tuple(reversed(steps))), "found"
+        nxt = []
+        for state in level:
+            for moved, stay in (state, state[::-1]):
+                for name in planes_outside(w, moved):
+                    if (stay, name) in expanded:
+                        continue
+                    expanded.add((stay, name))
+                    if name not in outside:
+                        outside[name] = _outside_cells(w, name)
+                    for target in outside[name]:
+                        if target == stay:
+                            continue
+                        new = (stay, target) if stay < target else (target, stay)
+                        if new not in parent:
+                            parent[new] = (state, name, moved, target)
+                            nxt.append(new)
+        level = nxt
+    return None, "exhausted"
 
 
 @pytest.fixture

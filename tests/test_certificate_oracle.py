@@ -1,6 +1,8 @@
 """The forward certificate search and the direct two-hole C1 test against
 the slow paths they replaced, kept here as oracles.
 
+* The two-pass search (conftest): the same forward search with each level
+  tested, then expanded, so it returns the same chain.
 * The certificate forest: one reverse breadth-first search over every
   two-hole state, rooted at the critical-pair states.  It gives the length
   of a shortest relocation chain from every state at once, or no entry when
@@ -9,6 +11,7 @@ the slow paths they replaced, kept here as oracles.
   validated), tested for a critical pair, the first failure reported.
 """
 
+import random
 from collections import deque
 
 import pytest
@@ -25,7 +28,12 @@ from fssp_holes.timebounds import (
     verify_certificate,
 )
 
-from conftest import all_two_hole_configs, regions
+from conftest import (
+    all_two_hole_configs,
+    make_random_config,
+    regions,
+    two_pass_certificate_search,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -102,6 +110,23 @@ def test_search_matches_forest(configs):
         assert chain.initial == cfg and verify_certificate(chain), holes
         found += 1
     assert 0 < found < len(cfgs)
+
+
+# Configurations drawn per size: the w=256 searches that find a chain take
+# about 0.05 s each, so the larger sizes draw fewer.
+SAMPLES = {16: 400, 24: 300, 48: 150, 96: 80, 256: 20}
+
+
+@pytest.mark.parametrize("w", SAMPLES, ids=[f"w{w}" for w in SAMPLES])
+def test_search_matches_two_pass_search(w):
+    rng = random.Random(w)
+    reasons = set()
+    for _ in range(SAMPLES[w]):
+        cfg = make_random_config(rng, w, 2)
+        got = certificate_search_report(cfg)
+        assert got == two_pass_certificate_search(cfg), sorted(cfg.holes)
+        reasons.add(got[1])
+    assert reasons >= {"found", "exhausted"}
 
 
 def test_direct_c1_matches_enumeration_on_witness_plans(configs):

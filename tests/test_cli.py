@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import fssp_holes
 from fssp_holes.cli import main
 from fssp_holes.grid import distance_grid, dump_ascii, dump_json, square_rows, validate
 from fssp_holes.mft2 import build_witness_plan
@@ -317,6 +318,15 @@ class TestOtherCommands:
         want = hashlib.sha256(b'{"ks":[2,3]}').hexdigest()
         assert first == digest("--ks", "2,3") == want
         assert digest("--ks", "2,4") != first
+
+    def test_repro_tables_reports_version_and_a_monotonic_time(self, capsys, monkeypatch):
+        # A wall clock that steps backwards between two reads.
+        wall = iter(range(10**9, 0, -10))
+        monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+        code, out = run_cli(capsys, "repro-tables", "--ks", "2,3", "--jobs", "1", "--json")
+        report = json.loads(out)
+        assert code == 0 and report["elapsed_s"] >= 0
+        assert report["version"] == fssp_holes.__version__
 
 
 class TestPictures:

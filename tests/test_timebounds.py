@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -212,6 +213,20 @@ class TestCertificates:
         assert digest.hexdigest() == (
             "9c4ced4e384e8b3433012c87370fd261e5a0b11ce7898bbc1b31591b66565ea9"
         )
+
+    @pytest.mark.parametrize(
+        "w, census",
+        [(9, {"immediate": 10, 1: 222, 2: 591, "exhausted": 1_193}),
+         (12, {"immediate": 16, 1: 630, 2: 2_136, "exhausted": 4_478})],
+    )
+    def test_chain_census(self, w, census):
+        # How every two-hole search ends, by reason or chain length: no
+        # chain at w = 9 or 12 needs more than 2 steps.
+        got = Counter()
+        for cfg in all_two_hole_configs(w):
+            chain, reason = certificate_search_report(cfg)
+            got[len(chain) if reason == "found" else reason] += 1
+        assert got == census
 
     def test_chain_holds_its_start_and_steps(self):
         chain, _ = certificate_search_report(validate(12, [(10, 3), (3, 10)]))
