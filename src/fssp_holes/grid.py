@@ -2,10 +2,10 @@
 
 Every grid distance runs on one cell encoding, the free mask: node (x, y)
 is bit x * stride + y of one big int.  _bfs turns a free mask into a full
-distance field indexed by bit (distance_grid, validate), and the layer
-engine (layers, ball, radius, walk_mask) answers threshold questions with a
-few big-int operations per BFS layer, per configuration or per enlarged
-barrier-shape rectangle (the shape scan of shapes).
+distance field indexed by bit where a distance is read (distance_grid,
+t_field, d0_d1); the layer engine (layers, ball, radius, walk_mask) answers
+reachability and threshold questions (validate, max_t, the shape scan) with
+a few big-int operations per BFS layer.
 
 Coordinates follow one convention everywhere: origin (0, 0) at the general
 in the southwest corner, x grows to the east, y grows to the north.  A
@@ -33,9 +33,9 @@ from .errors import (
     TooManyHolesError,
 )
 
-#: Largest square size a configuration file may ask for.  validate builds a
-#: free mask and a distance list of (w+1)(w+2) cells, so an unbounded size
-#: from a few bytes of input would cost time and memory growing as w^2.
+#: Largest square size a configuration file may ask for.  validate floods a
+#: free mask of (w+1)(w+2) bits, so an unbounded size from a few bytes of
+#: input would cost memory growing as w^2 and time faster still.
 MAX_SIZE = 1024
 
 
@@ -110,18 +110,19 @@ def validate(size: int, holes: Iterable[tuple[int, int]]) -> Configuration:
             f"{len(hs)} holes exceed the (w-1)^2 = {(size - 1) ** 2} maximum for w={size}",
             witness=None,
         )
-    for h in sorted(hs):
-        if not (1 <= h.x <= size - 1 and 1 <= h.y <= size - 1):
-            raise BoundaryHoleError(
-                f"hole {tuple(h)} is on or outside the boundary of the {size}x{size} square",
-                witness=h,
-            )
+    # The witness is the least offending hole: only those are sorted.
+    for h in sorted(h for h in hs if not (1 <= h.x < size and 1 <= h.y < size)):
+        raise BoundaryHoleError(
+            f"hole {tuple(h)} is on or outside the boundary of the {size}x{size} square",
+            witness=h,
+        )
     cfg = Configuration(size, hs)
-    # One flood fill from the general (bit 0); compare reached count with the
-    # node count.  Uncached: distance_grid's cache is for fields read again.
-    dist = _bfs(free_mask(cfg), size + 2, 1)
-    if len(dist) - dist.count(-1) != (size + 1) ** 2 - len(hs):
-        witness = next(p for p in cfg.nodes() if dist[cfg.index(p)] < 0)
+    # The nodes the general (bit 0) does not reach; bit order is nodes()
+    # order, so the lowest bit is the first of them.
+    free = free_mask(cfg)
+    cut = free & ~ball(free, size + 2, 1, free.bit_count())
+    if cut:
+        witness = Position(*divmod((cut & -cut).bit_length() - 1, size + 2))
         raise DisconnectedError(
             f"node {tuple(witness)} unreachable from the general", witness=witness
         )
@@ -133,9 +134,9 @@ def mh_distance(a: tuple[int, int], b: tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
-# A field at w = MAX_SIZE holds about 39 MB.  One answer reads few fields
-# again: t_of two per configuration, a walk check from the general and the
-# three other corners four.  Eight cover that.
+# A field at w = MAX_SIZE holds about 39 MB.  Its one library reader is
+# bfs_distance, and through it t_of, which reads the two far corners' fields
+# once per node.  Eight cover a few configurations at once.
 @lru_cache(maxsize=8)
 def distance_grid(cfg: Configuration, source: Position) -> tuple[int, ...]:
     """Cached BFS distance field from one source node of cfg, indexed by
@@ -224,7 +225,7 @@ def _bfs(free: int, stride: int, start: int) -> list[int]:
     """BFS distances from the start mask over the free mask, indexed by bit
     and filling whole columns; -1 for a cell off the mask or unreached.
 
-    The one queue BFS of the package: distance_grid, validate, d0_d1 and
+    The one queue BFS of the package: distance_grid, t_field, d0_d1 and
     the layer engine's long searches run on it.  Guard bits stop north and
     south steps at the column ends; a padding column after the last, read
     also by negative indices, stops steps off either end of the list.

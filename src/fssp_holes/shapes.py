@@ -32,7 +32,7 @@ from .errors import (
     UnreachableError,
     WrongHoleCountError,
 )
-from .grid import Position, _bfs, _mask_where, _only_ints, _set_bits, layers
+from .grid import Position, _bfs, _only_ints, _set_bits, layers
 
 logger = logging.getLogger(__name__)
 
@@ -220,12 +220,11 @@ def d0_d1(shape: BarrierShape, p: tuple[int, int]) -> tuple[int, int]:
     if p in shape.holes or not (0 <= p.x < shape.width and 0 <= p.y < shape.height):
         raise UnreachableError(f"{tuple(p)} is not a node of the shape")
     stride, nw_corner, se_corner = _corner_bits(shape.width, shape.height)
-    # One flag per bit, guard bits off: linear in the cells, however many holes.
-    free = _mask_where([
-        y <= shape.height + 1 and (x - 1, y - 1) not in shape.holes
-        for x in range(shape.width + 2)
-        for y in range(stride)
-    ])
+    # Column masks minus the holes, joined with guard bits off: linear in the cells.
+    columns = [(1 << shape.height + 2) - 1] * (shape.width + 2)
+    for h in shape.holes:
+        columns[h.x + 1] &= ~(1 << h.y + 1)
+    free = int("".join(format(c, f"0{stride}b") for c in reversed(columns)), 2)
     bit = (p.x + 1) * stride + p.y + 1
     d0, d1 = (_bfs(free, stride, corner)[bit] for corner in (nw_corner, se_corner))
     if d0 < 0 or d1 < 0:

@@ -189,7 +189,8 @@ def _critical_pair_completion(plan: MessagePlan) -> frozenset[Position] | None:
     domain = plan.pattern.domain
     pinned = plan.pattern.holes
     if pinned:
-        corners = sorted({c for h in pinned for c in (h, h - (1, 1))})
+        # Pattern does not coerce its cells: a hand-built one may hold tuples.
+        corners = sorted({Position(*c) for x, y in pinned for c in ((x, y), (x - 1, y - 1))})
     else:
         corners = [Position(x, x + d) for x in range(1, w) for d in (-2, 2)]
     for c in corners:
@@ -244,8 +245,8 @@ def plan_to_json(plan: MessagePlan) -> str:
             [[[site.x, site.y], off] for site, off in group] for group in plan.groups
         ],
         "pattern": {
-            "nodes": sorted([p.x, p.y] for p in plan.pattern.domain - plan.pattern.holes),
-            "holes": sorted([p.x, p.y] for p in plan.pattern.holes),
+            "nodes": sorted([x, y] for x, y in plan.pattern.domain - plan.pattern.holes),
+            "holes": sorted([x, y] for x, y in plan.pattern.holes),
         },
     }
     return json.dumps(doc, separators=(", ", ": "))

@@ -23,8 +23,8 @@ from .grid import (
     V_GEN,
     Configuration,
     Position,
+    _bfs,
     bfs_distance,
-    distance_grid,
     free_mask,
     node_bit,
     radius,
@@ -64,12 +64,11 @@ def t_of(cfg: Configuration, v: tuple[int, int]) -> int:
 
 
 def t_field(cfg: Configuration) -> list[int]:
-    """T(v, C) of every node v, indexed by cfg.index(v): t_of with each far
-    corner's field read once, not once per node.  Holes and guard bits read
-    w - 1."""
+    """T(v, C) of every node v, indexed by cfg.index(v): w plus one flood's
+    distance from the nearer far corner.  Holes and guard bits read w - 1."""
     w = cfg.size
-    fields = distance_grid(cfg, Position(0, w)), distance_grid(cfg, Position(w, 0))
-    return [w + min(a, b) for a, b in zip(*fields)]
+    corners = node_bit(cfg, (0, w), w + 2) | node_bit(cfg, (w, 0), w + 2)
+    return [w + d for d in _bfs(free_mask(cfg), w + 2, corners)]
 
 
 def max_t(cfg: Configuration) -> int:

@@ -1,18 +1,21 @@
 """The grid distance engines against a plain dict-based BFS.
 
 Every distance runs on free masks: grid._bfs walks one cell at a time
-(distance_grid, validate, d0_d1 on enlarged rectangles of barrier shapes),
-and the layer engine (layers, ball, radius, walk_mask, and max_t on it)
-answers threshold questions with big ints.  Each is compared here with an
-independent breadth-first search over explicit cell sets, d0_d1 also with
-conftest.cell_bfs fields on every shape of at most 5 holes, and
-Configuration.index, distance_grid, t_of, t_field and max_t with each other.  The
-engine's searches finish on a _bfs field past a layer cap; the tests
-shrink the cap to run that path on small squares.
+(distance_grid, t_field, d0_d1 on enlarged rectangles of barrier shapes),
+and the layer engine (layers, ball, radius, walk_mask, and max_t and
+validate on it) answers threshold and reachability questions with big
+ints.  Each is compared here with an independent breadth-first search over
+explicit cell sets, d0_d1 also with conftest.cell_bfs fields on every shape
+of at most 5 holes, validate's DisconnectedError witness on every 4- to
+6-hole set at w = 5, and Configuration.index, distance_grid, t_of, t_field
+and max_t with each other.  The engine's searches finish on a _bfs field
+past a layer cap; the tests shrink the cap to run that path on small
+squares.
 """
 
 from collections import deque
 from contextlib import contextmanager
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fssp_holes import grid
-from fssp_holes.errors import ValidationError
+from fssp_holes.errors import DisconnectedError, ValidationError
 from fssp_holes.grid import (
     V_GEN,
     Position,
@@ -315,3 +318,46 @@ def test_one_encoding_on_a_maze(cap):
     cfg = serpentine_maze(40)
     with layer_cap(cap):
         check_one_encoding(cfg, [V_GEN, Position(40, 40), Position(1, 2)])
+
+
+def first_unreached(w: int, holes) -> tuple | None:
+    """The first node in nodes() order that a plain BFS from the general
+    does not reach, or None when it reaches every node."""
+    nodes = [(x, y) for x in range(w + 1) for y in range(w + 1) if (x, y) not in holes]
+    reached = oracle_bfs(set(nodes), (0, 0))
+    return next((p for p in nodes if p not in reached), None)
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 3])
+def test_disconnected_witness_is_the_first_unreached_node(cap):
+    # Every 4-, 5- and 6-hole set at w = 5: 14,196 sets.  Six of them cut off
+    # two nodes: a domino, or two diagonal nodes, in the middle 2 x 2.
+    w = 5
+    interior = [(x, y) for x in range(1, w) for y in range(1, w)]
+    several = 0
+    with layer_cap(cap):
+        for k in (4, 5, 6):
+            for holes in combinations(interior, k):
+                expected = first_unreached(w, holes)
+                if expected is None:
+                    assert validate(w, holes).k == k
+                    continue
+                with pytest.raises(DisconnectedError) as exc:
+                    validate(w, holes)
+                assert exc.value.witness == expected, holes
+                nodes = {(x, y) for x in range(w + 1) for y in range(w + 1)} - set(holes)
+                several += len(nodes) - len(oracle_bfs(nodes, (0, 0))) >= 2
+    assert several == 6
+
+
+def test_disconnected_witness_past_the_layer_cap():
+    # Cutting the last row of a w=40 maze's 800-layer corridor leaves its far
+    # end unreached: the flood runs past the cap and finishes on a _bfs field.
+    w = 40
+    holes = serpentine_maze(w).holes | {(30, w - 2)}
+    expected = first_unreached(w, holes)
+    assert expected == (31, w - 2)
+    with mock.patch.object(grid, "_bfs", wraps=grid._bfs) as bfs:
+        with pytest.raises(DisconnectedError) as exc:
+            validate(w, holes)
+    assert exc.value.witness == expected and bfs.call_count == 1

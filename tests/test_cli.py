@@ -280,18 +280,18 @@ class TestOtherCommands:
         [validate(5, []), validate(12, [(6, 4), (7, 5)]), serpentine_maze(40)],
         ids=["w5-empty", "w12-pair", "w40-maze"],
     )
-    def test_tvc_reads_two_distance_fields(self, cfg_file, capsys, cfg):
-        """One tvc call looks up the two far-corner fields once each,
-        whatever the node count: no cache lookup per node."""
+    def test_tvc_makes_no_distance_grid_lookup(self, cfg_file, capsys, cfg):
+        """One tvc call floods from both far corners at once, whatever the
+        node count: no distance_grid lookup, per node or per corner."""
         path = cfg_file("a.json", cfg)
         before = distance_grid.cache_info()
         assert main(["tvc", path]) == 0
         after = distance_grid.cache_info()
-        assert (after.hits + after.misses) - (before.hits + before.misses) == 2
+        assert after.hits + after.misses == before.hits + before.misses
 
     def test_tvc_text_then_json_in_one_process(self, cfg_file, capsys):
-        """The second call loads an equal configuration whose fields are
-        cached; both print t_of at every node and max_t."""
+        """Two calls in one process on equal configurations, each with its
+        own flood; both print t_of at every node and max_t."""
         cfg = serpentine_maze(30)
         path = cfg_file("maze.json", cfg)
         assert main(["tvc", path]) == 0

@@ -157,3 +157,31 @@ class TestPlanJson:
                 (((Position(1, 1), 0),),),
                 Pattern(frozenset({Position(1, 1)}), frozenset({Position(1, 1)})),
             )
+
+
+class TestTupleBuiltPattern:
+    """Pattern does not coerce its cells, so a hand-built one may hold plain
+    (x, y) tuples; the checker and the plan file read them as Positions."""
+
+    @pytest.mark.parametrize(
+        "holes, region",
+        [
+            ([(3, 3), (8, 8)], [(3, 3), (4, 4), (5, 5)]),
+            # (3, 5) is critical and (2, 4), (4, 6) lie outside the domain: C1 fails.
+            ([(3, 5), (8, 8)], [(3, 5), (5, 5)]),
+        ],
+        ids=["c1-ok", "c1-fails"],
+    )
+    def test_same_report_and_bytes_as_pattern_of(self, holes, region):
+        cfg = validate(12, holes)
+        pinned = frozenset(region) & frozenset(holes)
+        plans = [
+            MessagePlan(12, 0, ((((5, 5), 0),),), pattern)
+            for pattern in (Pattern(frozenset(region), pinned), pattern_of(cfg, region))
+        ]
+        assert not any(isinstance(p, Position) for p in plans[0].pattern.domain)
+        reports = [check_c_conditions(plan, cfg) for plan in plans]
+        assert reports[0] == reports[1]
+        assert reports[0].c1_ok == (holes[0] == (3, 3))
+        assert plan_to_json(plans[0]) == plan_to_json(plans[1])
+        assert [run_message_plan(cfg, plan).common_fire_time() for plan in plans] == [24, 24]
