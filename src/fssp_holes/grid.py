@@ -383,6 +383,8 @@ class Pattern:
     holes: frozenset[Position] = frozenset()
 
     def __post_init__(self):
+        # The few holes are pinned as Positions; the domain is kept as given.
+        object.__setattr__(self, "holes", frozenset(Position(*h) for h in self.holes))
         if not self.holes <= self.domain:
             raise ValueError("pattern holes must lie in its domain")
 

@@ -135,7 +135,7 @@ def _plan(cfg: Configuration, region: set[tuple[int, int]], groups) -> MessagePl
     return MessagePlan(
         target_size=cfg.size,
         slack=0,
-        groups=tuple(tuple((Position(*s), 0) for s in group) for group in groups),
+        groups=tuple(tuple((s, 0) for s in group) for group in groups),
         pattern=pattern_of(cfg, region),
     )
 

@@ -5,7 +5,9 @@ Divide-to-halves construction realized with local signals:
 * every general, at its creation, emits into each open direction a fast
   signal (speed 1) and a family of slow signals of speeds 1/(2^level - 1)
   for level = 2, 3, ..., each family member duplicated with a one-step
-  sibling offset (the offset pads the odd-length rounding cases);
+  sibling offset (the offset pads the odd-length rounding cases); a
+  step's births come before its emissions, so a direction whose neighbour
+  became a general in the same step is closed;
 * a fast signal hitting the closed end turns that cell into a general
   (the reflection is the new general's own fast signal);
 * a fast signal meeting an oncoming slow signal turns the meeting cell into
@@ -94,33 +96,37 @@ class LineSynchronizer:
         self.move_schedule: list[list[_Slow]] = [[] for _ in range(self.horizon + 2)]
         self.gen_count = 0
 
-    # -- emissions ---------------------------------------------------------
+    # -- births and emissions ----------------------------------------------
 
-    def _make_general(self, cell: int, t: int) -> None:
+    def _make_generals(self, cells: list[int], t: int) -> None:
+        """Make generals at t of the cells that are not yet generals.  All
+        are born (birth time set, slows there absorbed) before any emits, so
+        no general emits toward a neighbour born in the same step."""
         births = self.births
-        if births[cell] is not None:
-            return
-        births[cell] = t
-        self.gen_count += 1
-        absorbed = self.slow_at[cell]
-        if absorbed:
-            for s in absorbed:
-                s.alive = False  # slows arriving at a general are absorbed
-            self.slow_at[cell] = []
+        born = []
+        for cell in cells:
+            if births[cell] is None:
+                births[cell] = t
+                born.append(cell)
+                for s in self.slow_at[cell]:
+                    s.alive = False  # slows arriving at a general are absorbed
+                self.slow_at[cell] = []
+        self.gen_count += len(born)
         n = self.n
         horizon = self.horizon
         schedule = self.move_schedule
-        for e in (-1, 1):
-            nbr = cell + e
-            if not (0 <= nbr < n) or births[nbr] is not None:
-                continue
-            self.fasts.append(_Fast(cell, e, t))
-            level = 2
-            while (first := t + (1 << level) - 1) <= horizon:
-                schedule[first].append(_Slow(cell, e, level))
-                if first < horizon:  # its sibling starts one step later
-                    schedule[first + 1].append(_Slow(cell, e, level))
-                level += 1
+        for cell in born:
+            for e in (-1, 1):
+                nbr = cell + e
+                if not (0 <= nbr < n) or births[nbr] is not None:
+                    continue
+                self.fasts.append(_Fast(cell, e, t))
+                level = 2
+                while (first := t + (1 << level) - 1) <= horizon:
+                    schedule[first].append(_Slow(cell, e, level))
+                    if first < horizon:  # its sibling starts one step later
+                        schedule[first + 1].append(_Slow(cell, e, level))
+                    level += 1
 
     # -- stepping ----------------------------------------------------------
 
@@ -131,7 +137,7 @@ class LineSynchronizer:
             self.births[0] = 0
             return LineRun([0], [0])
 
-        self._make_general(0, 0)
+        self._make_generals([0], 0)
         t = 0
         while self.gen_count < n:
             if t > self.horizon:
@@ -213,10 +219,11 @@ class LineSynchronizer:
             f.alive = False
             died = True
 
-        for cell, cause in new_gens:
-            if not -1 <= cell - cause <= 1:
-                _check_caused(cell, cause)
-            self._make_general(cell, t + 1)
+        if new_gens:
+            for cell, cause in new_gens:
+                if not -1 <= cell - cause <= 1:
+                    _check_caused(cell, cause)
+            self._make_generals([cell for cell, _ in new_gens], t + 1)
 
         if died:
             self.fasts = [f for f in self.fasts if f.alive]

@@ -53,11 +53,11 @@ class MessagePlan:
         object.__setattr__(
             self,
             "groups",
-            tuple(
-                tuple((Position(*site), int(off)) for site, off in group)
-                for group in self.groups
-            ),
+            tuple(tuple((Position(*site), off) for site, off in group) for group in self.groups),
         )
+        offsets = (off for group in self.groups for _, off in group)
+        if not _only_ints(chain([self.target_size, self.slack], offsets)):
+            raise ValueError("target size, slack and message offsets must be integers")
         if self.slack < 0:
             raise ValueError("slack must be nonnegative")
         for group in self.groups:
@@ -75,8 +75,9 @@ class MessagePlan:
 def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
     """Simulate the plan on cfg: simultaneous firing at the deadline or none.
 
-    The transcript's diagnostics carry the per-node willingness map, so a
-    plan that reaches only part of the square is visible as such.
+    The transcript's diagnostics are one entry, "willing": the per-node
+    willingness map, so a plan that reaches only part of the square is
+    visible as such.  Without the target size and the pattern, no node is.
 
     A message born at time b reaches a node by the deadline exactly when the
     node lies in the ball of radius deadline - b around its site, so the
@@ -85,9 +86,7 @@ def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
     """
     deadline = plan.deadline
     nodes = list(cfg.nodes())
-    size_ok = cfg.size == plan.target_size
-    msgs_exist = size_ok and has_pattern(cfg, plan.pattern)
-    if msgs_exist:
+    if cfg.size == plan.target_size and has_pattern(cfg, plan.pattern):
         w = cfg.size
         s = w + 2
         free = free_mask(cfg)
@@ -111,16 +110,7 @@ def run_message_plan(cfg: Configuration, plan: MessagePlan) -> FiringTranscript:
 
     all_fire = all(willing.values())
     fire = {v: (deadline if all_fire else None) for v in nodes}
-    return FiringTranscript(
-        fire,
-        horizon=deadline,
-        diagnostics={
-            "size_ok": size_ok,
-            "messages_generated": msgs_exist,
-            "willing": willing,
-            "unwilling": sorted(tuple(v) for v, ok in willing.items() if not ok),
-        },
-    )
+    return FiringTranscript(fire, horizon=deadline, diagnostics={"willing": willing})
 
 
 @dataclass
@@ -132,7 +122,9 @@ class PlanCheckReport:
         pair, tested directly on the pinned holes and the free cells;
     c5: run_message_plan fires the reference configuration at the deadline,
         so every node holds a size-check message and a full message group
-        in time.
+        in time.  Its failures are read off the run's willingness map: each
+        unwilling node in node order, or, when no node is willing and the
+        configuration lacks the plan pattern, that one fact.
 
     c2 (each group's messages jointly pin exactly the plan pattern) holds
     by construction, since all message groups share the plan pattern; c3/c4
@@ -189,8 +181,7 @@ def _critical_pair_completion(plan: MessagePlan) -> frozenset[Position] | None:
     domain = plan.pattern.domain
     pinned = plan.pattern.holes
     if pinned:
-        # Pattern does not coerce its cells: a hand-built one may hold tuples.
-        corners = sorted({Position(*c) for x, y in pinned for c in ((x, y), (x - 1, y - 1))})
+        corners = sorted({c for h in pinned for c in (h, h - (1, 1))})
     else:
         corners = [Position(x, x + d) for x in range(1, w) for d in (-2, 2)]
     for c in corners:
@@ -223,12 +214,12 @@ def check_c_conditions(plan: MessagePlan, cfg: Configuration) -> PlanCheckReport
             f"C1: completion with holes {sorted(tuple(h) for h in late)} "
             f"exceeds the deadline"
         )
-    if not run.diagnostics["messages_generated"]:
-        failures.append("reference configuration does not carry the plan pattern")
+    willing = run.diagnostics["willing"]
+    if any(willing.values()) or has_pattern(cfg, plan.pattern):
+        unwilling = [v for v, ok in willing.items() if not ok]
+        failures.extend(f"C5: node {tuple(v)} is not covered by any group" for v in unwilling)
     else:
-        failures.extend(
-            f"C5: node {v} is not covered by any group" for v in run.diagnostics["unwilling"]
-        )
+        failures.append("reference configuration does not carry the plan pattern")
     c5_ok = run.common_fire_time() == plan.deadline
     return PlanCheckReport(c1_ok=late is None, c5_ok=c5_ok, failures=failures)
 
@@ -257,9 +248,7 @@ def plan_from_json(text: str | bytes) -> MessagePlan:
     try:
         doc = json.loads(text)
         nodes, holes = doc["pattern"]["nodes"], doc["pattern"]["holes"]
-        groups = tuple(
-            tuple((Position(*site), off) for site, off in group) for group in doc["groups"]
-        )
+        groups = doc["groups"]
         messages = [(*site, off) for group in groups for site, off in group]
         if not _only_ints(chain([doc["target_size"], doc["slack"]], *messages, *nodes, *holes)):
             raise TypeError("sizes, offsets and coordinates must be integers")

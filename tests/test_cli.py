@@ -127,6 +127,29 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert "ParseError" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (["slack"], 0.5),
+            (["target_size"], 7.0),
+            (["groups", 0, 0, 1], 0.9),
+            (["groups", 0, 0, 1], True),
+        ],
+    )
+    def test_plan_number_not_an_int_exit_2(self, cfg_file, tmp_path, capsys, path, value):
+        cfg_path = cfg_file("a.json", validate(7, [(1, 1), (2, 1), (3, 1)]))
+        doc = json.loads(plan_to_json(worked_instance_plan()))
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(doc))
+        assert main(["simulate", "plan", cfg_path, str(plan_path)]) == 2
+        captured = capsys.readouterr()
+        assert "ParseError" in captured.err and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("cmd", ["validate", "classify"])
     def test_directory_argument_exit_2(self, tmp_path, capsys, cmd):
         assert main([cmd, str(tmp_path)]) == 2

@@ -88,8 +88,29 @@ class TestStateCensus:
         # horizon, so no fixed state set covers every n: the engine is a
         # signal machine, not a finite automaton.
         counts = [_signature_census(n) for n in (8, 32, 128, 512)]
-        assert counts == [18, 43, 86, 141]
+        assert counts == [16, 40, 74, 116]
         assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+class TestEmissions:
+    def test_no_signal_targets_a_same_step_general(self, monkeypatch):
+        # A step's new generals are all born before any emits, so no signal
+        # is built toward a neighbour born at the same time as its general.
+        made = []
+        for name in ("_Fast", "_Slow"):
+            real = getattr(line, name)
+
+            def record(cell, dir, *rest, real=real):
+                made.append((cell, dir))
+                return real(cell, dir, *rest)
+
+            monkeypatch.setattr(line, name, record)
+        for n in range(1, 65):
+            made.clear()
+            births = LineSynchronizer(n).run().births
+            assert made or n == 1
+            toward_twins = [(c, d) for c, d in made if births[c + d] == births[c]]
+            assert toward_twins == [], n
 
 
 class TestCausalityCheck:

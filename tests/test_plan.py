@@ -46,13 +46,13 @@ class TestWorkedInstance:
         plan = worked_instance_plan()
         tr = run_message_plan(validate(w, [(1, 1), (2, 1), (3, 1)]), plan)
         assert tr.common_fire_time() is None
-        assert not tr.diagnostics["size_ok"]
+        assert not any(tr.diagnostics["willing"].values())
 
     def test_pattern_mismatch_never_fires(self):
         plan = worked_instance_plan()
         tr = run_message_plan(validate(7, [(1, 1), (2, 1), (4, 1)]), plan)
         assert tr.common_fire_time() is None
-        assert not tr.diagnostics["messages_generated"]
+        assert not any(tr.diagnostics["willing"].values())
 
 
 class TestSizeCheckOnlyPlan:
@@ -149,6 +149,16 @@ class TestPlanJson:
         doc["checked_region"] = [[1, 1], [2, 1], [3, 1]]
         assert plan_from_json(json.dumps(doc)) == worked_instance_plan()
 
+    @pytest.mark.parametrize(
+        "target_size, slack, off",
+        [(7, 0, 0.9), (7, 0, -0.5), (7, 0, True), (7, 0.5, 0), (7.0, 0, 0), (7, False, 0)],
+    )
+    def test_numbers_must_be_ints(self, target_size, slack, off):
+        # Not coerced: 0.9 would become 0, and a slack of 0.5 would move
+        # the deadline to 14.5.
+        with pytest.raises(ValueError, match="must be integers"):
+            MessagePlan(target_size, slack, ((((3, 0), off),),), Pattern())
+
     def test_site_must_not_be_pattern_hole(self):
         with pytest.raises(ValueError):
             MessagePlan(
@@ -160,8 +170,9 @@ class TestPlanJson:
 
 
 class TestTupleBuiltPattern:
-    """Pattern does not coerce its cells, so a hand-built one may hold plain
-    (x, y) tuples; the checker and the plan file read them as Positions."""
+    """Pattern pins its holes as Positions but keeps its domain as given, so
+    a hand-built one may hold plain (x, y) tuples there; the checker and the
+    plan file read them as Positions."""
 
     @pytest.mark.parametrize(
         "holes, region",
